@@ -1,29 +1,25 @@
 """Least signless-Laplacian eigenvalue toolkit.
 
 Construct the extremal families (cycle-stem-broom minimizers, pendant-
-decorated clique maximizers), compute Q-spectra with an in-repo symmetric
-eigensolver cross-checked by an exact characteristic-polynomial oracle,
+decorated clique maximizers), compute Q-spectra with LAPACK (through numpy)
+cross-checked by an exact characteristic-polynomial oracle,
 verify first-eigenvector structure, search graph classes exhaustively at
 small order, and evaluate the closed-form bounds.
 """
 
 from .bounds import (
-    BoundReport,
     BoundRow,
     bound_lima,
     bound_pendant,
     bound_pendant_general,
-    bound_report,
     bound_submatrix,
     compare_bounds,
-    soundness_report,
 )
 from .charpoly import charpoly_coeffs, charpoly_oracle, smallest_real_root
 from .errors import (
     CapacityExceededError,
     DegenerateSpectrumError,
     InvalidParameterError,
-    NoConvergenceError,
     ParseError,
     QminlabError,
 )

@@ -19,7 +19,7 @@ is surfaced as data rather than encoded as a check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
@@ -80,48 +80,6 @@ class BoundRow:
     @property
     def smaller(self) -> str:
         return "lima" if self.lima_delta1 < self.cor_pendant_general else "pendant"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Named bound values plus bookkeeping from a soundness sweep.
-
-    ``max_violation <= 0`` means every checked graph satisfied every
-    applicable bound.
-    """
-
-    n: int
-    k: int | None
-    delta: int
-    values: dict[str, float] = field(default_factory=dict)
-    witnesses_checked: int = 0
-    max_violation: float = -math.inf
-
-
-def bound_report(n: int, k: int | None = None, delta: int = 1) -> BoundReport:
-    """Evaluate every applicable bound for the given parameters."""
-    values = {"lima": bound_lima(n, delta)}
-    if n >= 4:
-        values["pendant_general"] = bound_pendant_general(n)
-    if k is not None:
-        values["pendant"] = bound_pendant(n, k)
-        values["submatrix"] = bound_submatrix(n, k)
-    return BoundReport(n=n, k=k, delta=delta, values=values)
-
-
-def soundness_report(n: int, k: int, max_qmin: float, count: int) -> BoundReport:
-    """Fold an exhaustive class maximum into a violation figure: positive
-    ``max_violation`` would mean some graph beat a bound."""
-    rep = bound_report(n, k, delta=1)
-    worst = max(max_qmin - v for v in rep.values.values())
-    return BoundReport(
-        n=n,
-        k=k,
-        delta=1,
-        values=rep.values,
-        witnesses_checked=count,
-        max_violation=worst,
-    )
 
 
 def compare_bounds(ns) -> list[BoundRow]:

@@ -23,13 +23,7 @@ from .families import PendantProfile, UParams, balanced_profile, build_K, build_
 from .graph6 import decode_graph6, encode_graph6, parse_edge_list
 from .graphs import Graph, is_isomorphic, structure_report
 from .search import ClassQuery, alpha, find_extremal, majorization_scan
-from .spectra import (
-    DEFAULT_EIG_TOL,
-    DEFAULT_GROUP_TOL,
-    eig_sym,
-    q_matrix,
-    q_min_of,
-)
+from .spectra import DEFAULT_GROUP_TOL, eig_sym, q_matrix, q_min_of
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -40,7 +34,6 @@ EXIT_USAGE = 2
 class RunConfig:
     """Validated run-wide settings shared by all commands."""
 
-    eig_tol: float
     group_tol: float
     tie_tol: float
     shards: int
@@ -49,13 +42,12 @@ class RunConfig:
     @staticmethod
     def from_args(args) -> "RunConfig":
         cfg = RunConfig(
-            eig_tol=args.eig_tol,
             group_tol=args.group_tol,
             tie_tol=args.tie_tol,
             shards=getattr(args, "shards", 1),
             output=getattr(args, "output", None),
         )
-        if min(cfg.eig_tol, cfg.group_tol, cfg.tie_tol) <= 0:
+        if min(cfg.group_tol, cfg.tie_tol) <= 0:
             raise QminlabError("tolerances must be positive")
         if cfg.shards < 1:
             raise QminlabError("shards must be >= 1")
@@ -83,12 +75,6 @@ def _load_graph(source: str) -> Graph:
     return decode_graph6(source)
 
 
-def _open_output(cfg: RunConfig):
-    if cfg.output:
-        return open(cfg.output, "w", newline="", encoding="utf-8")
-    return None
-
-
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -105,8 +91,8 @@ def cmd_spectrum(args) -> int:
     cfg = RunConfig.from_args(args)
     g = _load_graph(args.input)
     rep = structure_report(g)
-    spec = eig_sym(q_matrix(g), cfg.eig_tol)
-    value, vector, mult = q_min_of(g, cfg.eig_tol, cfg.group_tol)
+    spec = eig_sym(q_matrix(g))
+    value, vector, mult = q_min_of(g, group_tol=cfg.group_tol)
     lines = [
         f"order: {g.n}",
         f"edges: {g.edge_count}",
@@ -160,7 +146,7 @@ def cmd_family(args) -> int:
         if not args.profile:
             raise QminlabError("family K needs --profile")
         graph, lm = build_K(PendantProfile(tuple(_parse_int_list(args.profile))))
-    value, _, mult = q_min_of(graph, cfg.eig_tol, cfg.group_tol)
+    value, _, mult = q_min_of(graph, group_tol=cfg.group_tol)
     _emit(
         cfg,
         "\n".join(
@@ -191,13 +177,7 @@ def cmd_verify(args) -> int:
         query = ClassQuery(n=args.n, k=args.k)
         expected, _ = build_K(balanced_profile(args.n, args.k))
         objective, containment = "max", True
-    result = find_extremal(
-        query,
-        objective,
-        cfg.tie_tol,
-        eig_tol=cfg.eig_tol,
-        shards=cfg.shards,
-    )
+    result = find_extremal(query, objective, cfg.tie_tol, shards=cfg.shards)
     matches = [w for w in result.witnesses if is_isomorphic(w, expected)]
     if containment:
         confirmed = bool(matches)
@@ -239,7 +219,7 @@ def cmd_scan(args) -> int:
                                 file=sys.stderr,
                             )
                             continue
-                        writer.writerow([n, k, g, f"{alpha(n, k, g, eig_tol=cfg.eig_tol):.12f}"])
+                        writer.writerow([n, k, g, f"{alpha(n, k, g):.12f}"])
         elif args.what == "bounds":
             if args.n is None:
                 raise QminlabError("scan bounds needs --n")
@@ -267,7 +247,7 @@ def cmd_scan(args) -> int:
             if args.len is None or args.sum is None:
                 raise QminlabError("scan majorization needs --len and --sum")
             writer.writerow(["nu", "mu", "qmin_nu", "qmin_mu", "slack"])
-            scan = majorization_scan(args.len, args.sum, eig_tol=cfg.eig_tol)
+            scan = majorization_scan(args.len, args.sum)
             for nu, mu, qn, qm, slack in scan.pairs:
                 writer.writerow(
                     [
@@ -294,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, shards=False):
-        p.add_argument("--eig-tol", type=float, default=DEFAULT_EIG_TOL, dest="eig_tol")
         p.add_argument(
             "--group-tol", type=float, default=DEFAULT_GROUP_TOL, dest="group_tol"
         )

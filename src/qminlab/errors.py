@@ -23,9 +23,5 @@ class ParseError(QminlabError, ValueError):
         self.offset = offset
 
 
-class NoConvergenceError(QminlabError):
-    """An iterative solver hit its rotation cap before converging."""
-
-
 class DegenerateSpectrumError(QminlabError):
     """An operation requiring a simple least eigenvalue met a repeated one."""

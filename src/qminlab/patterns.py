@@ -229,7 +229,6 @@ def check_U_pattern(
     lm: ULandmarks,
     x,
     tol: float = PATTERN_TOL,
-    eig_tol: float = 1e-10,
 ) -> PatternReport:
     """All structural assertions for a first eigenvector of the standard
     cycle-stem-broom family.
@@ -244,7 +243,7 @@ def check_U_pattern(
     """
     _validate_std_family(g, lm)
     x = _normalized_eigenvector(g, x)
-    _, _, mult = q_min_of(g, eig_tol)
+    _, _, mult = q_min_of(g)
     if mult != 1:
         raise DegenerateSpectrumError(
             f"least eigenvalue has multiplicity {mult}; pattern needs 1"

@@ -6,8 +6,8 @@ the subset mask, so the "first" adjacency decisions are the mask's top bits
 and fixing the first ceil(log2 W) of them partitions the space into W
 deterministic shards of contiguous mask ranges.  Visit order is increasing
 mask within a shard; merged shard results equal the unsharded ones bit for
-bit because the batched eigensolver's per-matrix arithmetic is independent
-of how candidates are grouped.
+bit because ``qmin_stack`` gives each matrix the same least eigenvalue
+whatever batch it is solved in (a test re-proves this on a whole class).
 
 Labeled enumeration needs no isomorphism rejection: extremal values over
 labeled graphs and over isomorphism classes coincide, and only the small
@@ -19,9 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,7 +29,7 @@ from .errors import CapacityExceededError, InvalidParameterError
 from .families import PendantProfile, build_K, build_U_std
 from .graphs import Graph, coalesce, is_connected, is_isomorphic, two_coloring
 from .patterns import PatternReport
-from .spectra import DEFAULT_EIG_TOL, eig_sym, q_matrix, q_min_of, qmin_stack
+from .spectra import eig_sym, q_matrix, q_min_of, qmin_stack
 
 GENERAL_ORDER_CAP = 8
 UNICYCLIC_ORDER_CAP = 8  # may be raised to 9 explicitly; beyond is refused
@@ -332,7 +330,6 @@ class SearchResult:
     extremal_value: float
     witnesses: tuple[Graph, ...]
     graphs_examined: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,6 @@ def _tie_window(value: float, tie_tol: float) -> float:
 
 def _scan_shard(
     q: ClassQuery,
-    eig_tol: float,
     tie_tol: float,
     shard_index: int,
     shard_count: int,
@@ -381,7 +377,7 @@ def _scan_shard(
         qs[:, ii, jj] = bits
         qs[:, jj, ii] = bits
         qs[:, ax, ax] = degs
-        values = qmin_stack(qs, eig_tol)
+        values = qmin_stack(qs)
         for mask, val in zip(pend_masks, values.tolist()):
             if val < best_min:
                 best_min = val
@@ -450,32 +446,23 @@ def _dedup_witnesses(n: int, pairs, value: float, tie_tol: float, objective: str
 
 def _run_scan(
     q: ClassQuery,
-    eig_tol: float,
     tie_tol: float,
     shards: int,
-    workers: int,
     general_cap: int,
     unicyclic_cap: int,
 ) -> _ClassScan:
-    key = (q, eig_tol, tie_tol, shards, general_cap, unicyclic_cap)
+    key = (q, tie_tol, shards, general_cap, unicyclic_cap)
     hit = _scan_cache.get(key)
     if hit is not None:
         return hit
-    start = time.perf_counter()
-    args = [
-        (q, eig_tol, tie_tol, s, shards, general_cap, unicyclic_cap)
+    partials = [
+        _scan_shard(q, tie_tol, s, shards, general_cap, unicyclic_cap)
         for s in range(shards)
     ]
-    if workers > 1 and shards > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
-            partials = list(pool.map(_scan_shard_star, args))
-    else:
-        partials = [_scan_shard(*a) for a in args]
     count = sum(p.count for p in partials)
-    elapsed = time.perf_counter() - start
     if count == 0:
-        empty_min = SearchResult("min", math.nan, (), 0, elapsed)
-        empty_max = SearchResult("max", math.nan, (), 0, elapsed)
+        empty_min = SearchResult("min", math.nan, (), 0)
+        empty_max = SearchResult("max", math.nan, (), 0)
         scan = _ClassScan(0, empty_min, empty_max)
     else:
         best_min = min(p.min_value for p in partials)
@@ -489,22 +476,16 @@ def _run_scan(
                 best_min,
                 _dedup_witnesses(q.n, min_pairs, best_min, tie_tol, "min"),
                 count,
-                elapsed,
             ),
             SearchResult(
                 "max",
                 best_max,
                 _dedup_witnesses(q.n, max_pairs, best_max, tie_tol, "max"),
                 count,
-                elapsed,
             ),
         )
     _scan_cache[key] = scan
     return scan
-
-
-def _scan_shard_star(args):
-    return _scan_shard(*args)
 
 
 def find_extremal(
@@ -512,9 +493,7 @@ def find_extremal(
     objective: str,
     tie_tol: float = DEFAULT_TIE_TOL,
     *,
-    eig_tol: float = DEFAULT_EIG_TOL,
     shards: int = 1,
-    workers: int = 1,
     general_cap: int = GENERAL_ORDER_CAP,
     unicyclic_cap: int = UNICYCLIC_ORDER_CAP,
 ) -> SearchResult:
@@ -529,28 +508,26 @@ def find_extremal(
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
     if shards < 1:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    scan = _run_scan(q, eig_tol, tie_tol, shards, workers, general_cap, unicyclic_cap)
+    scan = _run_scan(q, tie_tol, shards, general_cap, unicyclic_cap)
     return scan.minimum if objective == "min" else scan.maximum
 
 
-def alpha(n: int, k: int, g: int, *, eig_tol: float = DEFAULT_EIG_TOL) -> float:
+def alpha(n: int, k: int, g: int) -> float:
     """Least eigenvalue of the standard cycle-stem-broom graph, which is the
     class minimum over unicyclic graphs with these parameters."""
     graph, _ = build_U_std(n, k, g)
-    return q_min_of(graph, eig_tol)[0]
+    return q_min_of(graph)[0]
 
 
-def interlacing_check(
-    g: Graph, e: tuple[int, int], tol: float = 1e-8, *, eig_tol: float = DEFAULT_EIG_TOL
-) -> PatternReport:
+def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> PatternReport:
     """Edge-deletion interlacing: with spectra ascending, every eigenvalue of
     G-e is at most its counterpart in G, which is at most the next one up in
     G-e."""
     u, v = e
     if not g.has_edge(u, v):
         raise InvalidParameterError(f"({u},{v}) is not an edge")
-    a = eig_sym(q_matrix(g.without_edge(u, v)), eig_tol).eigenvalues
-    b = eig_sym(q_matrix(g), eig_tol).eigenvalues
+    a = eig_sym(q_matrix(g.without_edge(u, v))).eigenvalues
+    b = eig_sym(q_matrix(g)).eigenvalues
     bad = []
     for i in range(g.n):
         if not a[i] <= b[i] + tol:
@@ -583,7 +560,6 @@ def relocation_experiment(
     u: int,
     *,
     margin: float = 1e-8,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> RelocationResult:
     """Attach ``g2`` (at its vertex ``u``) to ``g1`` at ``v2``, then compare
     against attaching at ``v1`` instead.
@@ -615,8 +591,8 @@ def relocation_experiment(
     g1_nonbip = two_coloring(g1) is None
     before = coalesce(g1, v2, g2, u)
     after = coalesce(g1, v1, g2, u)
-    q_before, x, _ = q_min_of(before, eig_tol)
-    q_after = q_min_of(after, eig_tol)[0]
+    q_before, x, _ = q_min_of(before)
+    q_after = q_min_of(after)[0]
     a1, a2 = abs(float(x[v1])), abs(float(x[v2]))
     hyp_tol = 1e-8 * float(np.abs(x).max())
     weak = a1 >= a2 - hyp_tol
@@ -674,7 +650,7 @@ def _profiles(length: int, total: int):
 
 
 def majorization_scan(
-    length: int, total: int, *, margin: float = 1e-8, eig_tol: float = DEFAULT_EIG_TOL
+    length: int, total: int, *, margin: float = 1e-8
 ) -> MajorizationScan:
     """For every profile pair differing by one unit transfer across a gap of
     at least 2, assert that the transfer cannot lower the clique family's
@@ -695,7 +671,7 @@ def majorization_scan(
     def qmin_of_profile(entries: tuple[int, ...]) -> float:
         if entries not in values:
             graph, _ = build_K(PendantProfile(entries))
-            val, vec, mult = q_min_of(graph, eig_tol)
+            val, vec, mult = q_min_of(graph)
             values[entries] = val
             vectors[entries] = (vec, mult)
         return values[entries]

@@ -1,10 +1,11 @@
-"""Signless-Laplacian matrices and an in-repo symmetric eigensolver.
+"""Signless-Laplacian matrices and their symmetric eigenproblems.
 
-The solver is a cyclic Jacobi iteration that operates on a whole stack of
-matrices at once.  Rotation angles are computed elementwise per matrix and
-converged matrices are removed from the stack between sweeps, so the floating
-trajectory of each matrix is exactly what it would be solo: results do not
-depend on how a search batches its candidates or splits them into shards.
+Eigenvalues and eigenvectors come from LAPACK through ``numpy.linalg``;
+``charpoly`` is the independent exact route they are checked against.  A
+stack passed to ``qmin_stack`` is solved one matrix at a time, each copied
+into its own work buffer, so a matrix's result is bit for bit the same
+whether it is solved alone or in a batch of any size: a search's verdicts do
+not depend on how it batches its candidates or splits them into shards.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoConvergenceError
+from .errors import InvalidParameterError
 from .graphs import Graph
 
-DEFAULT_EIG_TOL = 1e-10
 DEFAULT_GROUP_TOL = 1e-8
+_LEAD_TIE_TOL = 1e-8  # relative; magnitudes this close tie for the sign lead
 
 
 def q_matrix(g: Graph) -> np.ndarray:
@@ -51,120 +52,27 @@ def _check_symmetric(m) -> np.ndarray:
     return m
 
 
-def _jacobi_stack(mats: np.ndarray, tol: float, want_vectors: bool):
-    """Diagonalize a (B, n, n) stack of symmetric matrices by cyclic Jacobi.
-
-    Returns (values (B, n) unsorted = final diagonals, vectors (B, n, n) or
-    None).  Convergence per matrix: off-diagonal Frobenius norm < tol times
-    the matrix's Frobenius norm; cap of 100 n^2 rotations per matrix.
-    """
-    a = np.array(mats, dtype=np.float64, copy=True)
-    batch, n = a.shape[0], a.shape[1]
-    out_vals = np.empty((batch, n))
-    out_vecs = np.empty((batch, n, n)) if want_vectors else None
-
-    if n == 1:
-        out_vals[:, 0] = a[:, 0, 0]
-        if want_vectors:
-            out_vecs[:, 0, 0] = 1.0
-        return out_vals, out_vecs
-
-    thresh2 = (tol * tol) * np.einsum("bij,bij->b", a, a)
-    live = np.arange(batch)
-    vecs = None
-    if want_vectors:
-        vecs = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    rotations = np.zeros(batch, dtype=np.int64)
-    cap = 100 * n * n
-    diag_ix = np.arange(n)
-    iu, ju = np.triu_indices(n, k=1)
-
-    while True:
-        diag = a[:, diag_ix, diag_ix]
-        upper = a[:, iu, ju]
-        off2 = 2.0 * np.einsum("bi,bi->b", upper, upper)
-        done = (off2 < thresh2) | (off2 <= 0.0)
-        if done.any():
-            out_vals[live[done]] = diag[done]
-            if want_vectors:
-                out_vecs[live[done]] = vecs[done]
-            keep = ~done
-            if not keep.any():
-                return out_vals, out_vecs
-            a = a[keep]
-            live = live[keep]
-            thresh2 = thresh2[keep]
-            rotations = rotations[keep]
-            if want_vectors:
-                vecs = vecs[keep]
-        if (rotations >= cap).any():
-            raise NoConvergenceError(
-                f"Jacobi hit the {cap}-rotation cap at tolerance {tol}"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                rotate = apq != 0.0
-                if not rotate.any():
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    theta = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
-                    theta2 = theta * theta
-                    t = np.where(
-                        theta2 < 1e300,
-                        np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta2 + 1.0)),
-                        0.5 / theta,
-                    )
-                t = np.where(rotate, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cb = c[:, None]
-                sb = s[:, None]
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = cb * rp - sb * rq
-                a[:, q, :] = sb * rp + cb * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = cb * cp - sb * cq
-                a[:, :, q] = sb * cp + cb * cq
-                a[:, p, q] = 0.0
-                a[:, q, p] = 0.0
-                if want_vectors:
-                    vp = vecs[:, :, p].copy()
-                    vq = vecs[:, :, q].copy()
-                    vecs[:, :, p] = cb * vp - sb * vq
-                    vecs[:, :, q] = sb * vp + cb * vq
-                rotations += rotate
-
-
-def eig_sym(m, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def eig_sym(m) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix.
 
     Eigenvalues come back ascending with matching orthonormal eigenvector
     columns; deterministic for fixed input.
     """
     m = _check_symmetric(m)
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    vals, vecs = _jacobi_stack(m[None, :, :], tol, want_vectors=True)
-    order = np.argsort(vals[0], kind="stable")
-    values = vals[0][order]
-    vectors = vecs[0][:, order]
+    values, vectors = np.linalg.eigh(m)
     resid = m @ vectors - vectors * values[None, :]
     bound = float(np.abs(resid).max()) if m.shape[0] else 0.0
     return Spectrum(eigenvalues=values, eigenvectors=vectors, residual_bound=bound)
 
 
-def qmin_stack(mats: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
+def qmin_stack(mats: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each matrix in a (B, n, n) symmetric stack."""
-    vals, _ = _jacobi_stack(mats, tol, want_vectors=False)
-    return vals.min(axis=1)
+    return np.linalg.eigvalsh(mats)[:, 0]
 
 
 def q_min_of(
     g: Graph,
-    tol: float = DEFAULT_EIG_TOL,
+    *,
     group_tol: float | None = None,
 ) -> tuple[float, np.ndarray, int]:
     """Least Q-eigenvalue of ``g`` with a canonical eigenvector.
@@ -172,15 +80,17 @@ def q_min_of(
     Returns (value, vector, multiplicity).  Multiplicity counts eigenvalues
     within ``group_tol`` (default 1e-8 * (1 + |value|)) of the least one.
     The vector is unit length and sign-normalized: its largest-magnitude
-    entry is positive, ties broken by lowest vertex index.
+    entry is positive, ties (magnitudes within 1e-8 * max|x| of the largest)
+    broken by lowest vertex index.
     """
-    spec = eig_sym(q_matrix(g), tol)
+    spec = eig_sym(q_matrix(g))
     value = float(spec.eigenvalues[0])
     if group_tol is None:
         group_tol = DEFAULT_GROUP_TOL * (1.0 + abs(value))
     multiplicity = int(np.sum(spec.eigenvalues <= value + group_tol))
     vector = spec.eigenvectors[:, 0].copy()
-    lead = int(np.argmax(np.abs(vector)))
+    mags = np.abs(vector)
+    lead = int(np.argmax(mags >= mags.max() * (1.0 - _LEAD_TIE_TOL)))
     if vector[lead] < 0:
         vector = -vector
     return value, vector, multiplicity

@@ -113,7 +113,7 @@ def test_criterion_1_worked_example():
 
 
 def test_criterion_2_eigensolver_oracle_equivalence():
-    with criterion(2, "Jacobi vs exact charpoly on all small + 200 random"):
+    with criterion(2, "LAPACK vs exact charpoly on all small + 200 random"):
         start = time.perf_counter()
 
         def check(g):

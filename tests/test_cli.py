@@ -163,7 +163,7 @@ def test_output_to_file(capsys, tmp_path):
 
 
 def test_bad_tolerances(capsys):
-    code, _, err = run(capsys, "spectrum", "Bw", "--eig-tol", "-1")
+    code, _, err = run(capsys, "spectrum", "Bw", "--group-tol", "-1")
     assert code == 2
     assert "positive" in err
 

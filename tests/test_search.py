@@ -178,7 +178,7 @@ def test_min_search_small_classes():
         assert len(res.witnesses) == 1
         assert is_isomorphic(res.witnesses[0], expected)
         assert abs(res.extremal_value - alpha(n, k, 3)) < 1e-8
-        assert res.graphs_examined > 0 and res.elapsed >= 0
+        assert res.graphs_examined > 0
 
 
 def test_max_search_contains_balanced_clique():
