@@ -23,7 +23,7 @@ from .families import PendantProfile, UParams, balanced_profile, build_K, build_
 from .graph6 import decode_graph6, encode_graph6, parse_edge_list
 from .graphs import Graph, is_isomorphic, structure_report
 from .search import ClassQuery, alpha, find_extremal, majorization_scan
-from .spectra import DEFAULT_GROUP_TOL, eig_sym, q_matrix, q_min_of
+from .spectra import DEFAULT_GROUP_TOL, _least_pair, eig_sym, q_matrix, q_min_of
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -92,7 +92,7 @@ def cmd_spectrum(args) -> int:
     g = _load_graph(args.input)
     rep = structure_report(g)
     spec = eig_sym(q_matrix(g))
-    value, vector, mult = q_min_of(g, group_tol=cfg.group_tol)
+    value, vector, mult = _least_pair(spec.eigenvalues, spec.eigenvectors, cfg.group_tol)
     lines = [
         f"order: {g.n}",
         f"edges: {g.edge_count}",

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateSpectrumError, InvalidParameterError
 from .families import ULandmarks
 from .graphs import Graph, _bits, is_connected, two_coloring
-from .spectra import q_min_of, rayleigh, residual
+from .spectra import _least_pair, q_matrix, rayleigh, residual
 
 #: Residual allowance when validating that a supplied vector is an eigenvector.
 EIGENVECTOR_CHECK_TOL = 1e-6
@@ -243,7 +243,7 @@ def check_U_pattern(
     """
     _validate_std_family(g, lm)
     x = _normalized_eigenvector(g, x)
-    _, _, mult = q_min_of(g)
+    _, _, mult = _least_pair(np.linalg.eigvalsh(q_matrix(g)), None)
     if mult != 1:
         raise DegenerateSpectrumError(
             f"least eigenvalue has multiplicity {mult}; pattern needs 1"

@@ -2,16 +2,25 @@
 
 Classes are enumerated as edge subsets of the complete graph.  Edge b of
 K_n (column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b of
-the subset mask, so the "first" adjacency decisions are the mask's top bits
-and fixing the first ceil(log2 W) of them partitions the space into W
-deterministic shards of contiguous mask ranges.  Visit order is increasing
-mask within a shard; merged shard results equal the unsharded ones bit for
-bit because ``qmin_stack`` gives each matrix the same least eigenvalue
-whatever batch it is solved in (a test re-proves this on a whole class).
+the subset mask.  General classes are visited in increasing mask order;
+fixing the first ceil(log2 W) adjacency decisions (the mask's top bits)
+partitions them into W deterministic shards of contiguous mask ranges.
+Unicyclic classes are visited as the n-edge subsets in lexicographic
+combination order; shard s of W is the rank range [C*s/W, C*(s+1)/W) of the
+C subsets, so no shard rescans another's.  Either way the unsharded visit
+order is the shards' orders concatenated, and merged shard results equal
+the unsharded ones bit for bit because ``qmin_stack`` gives each matrix the
+same least eigenvalue whatever batch it is solved in (a test re-proves this
+on a whole class).
+
+Candidates travel in blocks: an (N,) int64 array of masks with an (N, n)
+uint16 array of neighbour masks, row v holding the bitmask of v's
+neighbours.  Every screen and exact test runs on a whole block at once.
 
 Labeled enumeration needs no isomorphism rejection: extremal values over
 labeled graphs and over isomorphism classes coincide, and only the small
-witness set is deduplicated up to isomorphism.
+witness set is deduplicated up to isomorphism, by striking each new
+representative's relabellings from the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,13 +35,13 @@ import numpy as np
 
 from .errors import CapacityExceededError, InvalidParameterError
 from .families import PendantProfile, build_K, build_U_std
-from .graphs import Graph, coalesce, is_connected, is_isomorphic, two_coloring
+from .graphs import Graph, coalesce, is_connected, two_coloring
 from .patterns import PatternReport
 from .spectra import eig_sym, q_matrix, q_min_of, qmin_stack
 
 GENERAL_ORDER_CAP = 8
 UNICYCLIC_ORDER_CAP = 8  # may be raised to 9 explicitly; beyond is refused
-UNICYCLIC_ORDER_MAX = 9
+ORDER_MAX = 9  # neighbour masks index a 2^ORDER_MAX popcount table
 DEFAULT_TIE_TOL = 1e-8
 _CHUNK = 1 << 16
 _EIG_BATCH = 4096
@@ -72,12 +80,125 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+# -- batch graph predicates --------------------------------------------------
+
+
+@functools.cache
+def _popcount() -> np.ndarray:
+    """Bit counts of 0 .. 2^ORDER_MAX - 1, built on first use."""
+    return np.array([bin(v).count("1") for v in range(1 << ORDER_MAX)], dtype=np.uint8)
+
+
+@functools.cache
+def _half_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Neighbour masks of the edges in the low and in the high half of an
+    edge-subset mask, indexed by that half's value."""
+    edges = _edge_list(n)
+    m_edges = len(edges)
+    low_bits = m_edges // 2
+    tables = []
+    for lo, width in ((0, low_bits), (low_bits, m_edges - low_bits)):
+        half = np.arange(1 << width, dtype=np.int64) << lo
+        rows = np.zeros((half.size, n), dtype=np.uint16)
+        for b, (i, j) in enumerate(edges):
+            bit = m_edges - 1 - b
+            if lo <= bit < lo + width:
+                present = ((half >> bit) & 1).astype(np.uint16)
+                rows[:, i] |= present << j
+                rows[:, j] |= present << i
+        tables.append(rows)
+    return low_bits, tables[0], tables[1]
+
+
+def _nbr_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """(N, n) neighbour masks of the graphs with these edge-subset masks."""
+    low_bits, low, high = _half_tables(n)
+    return low[masks & ((1 << low_bits) - 1)] | high[masks >> low_bits]
+
+
+def _nbhd(nbr: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Per row, the union of the neighbourhoods of the vertices in ``sets``."""
+    inside = (sets[:, None] >> np.arange(nbr.shape[1], dtype=np.uint16)) & 1
+    return np.bitwise_or.reduce(nbr * inside, axis=1)
+
+
+def _connected_rows(nbr: np.ndarray) -> np.ndarray:
+    """Rows whose graph is connected: each round adds one BFS layer to the
+    set reached from vertex 0, and n - 1 rounds reach every vertex."""
+    reach = np.ones(nbr.shape[0], dtype=np.uint16)
+    for _ in range(nbr.shape[1] - 1):
+        reach |= _nbhd(nbr, reach)
+    return reach == (1 << nbr.shape[1]) - 1
+
+
+def _odd_cycle_rows(nbr: np.ndarray) -> np.ndarray:
+    """Rows whose graph has an odd cycle, i.e. is not bipartite.
+
+    The vertices reached from a root by walks of even and of odd length are
+    grown together; they overlap exactly when the root's component has an
+    odd cycle.  n rounds suffice: a root at distance d from an odd cycle of
+    length g reaches the cycle's nearest vertex by walks of length d and
+    d + g <= n.  Each component not yet reached is rooted at its lowest
+    vertex in turn.
+    """
+    rows, n = nbr.shape
+    even = np.zeros(rows, dtype=np.uint16)
+    odd = np.zeros(rows, dtype=np.uint16)
+    while True:
+        rest = ((1 << n) - 1) & ~(even | odd)
+        if not rest.any():
+            return (even & odd) != 0
+        even |= rest & (~rest + 1)
+        for _ in range(n):
+            even, odd = even | _nbhd(nbr, odd), odd | _nbhd(nbr, even)
+
+
+def _cycle_len_rows(nbr: np.ndarray) -> np.ndarray:
+    """Per row, the number of vertices left once leaves are peeled off
+    repeatedly: the length of the cycle of a connected graph with n edges."""
+    pop = _popcount()
+    rows, n = nbr.shape
+    vertex = (1 << np.arange(n)).astype(np.uint16)
+    alive = np.full(rows, (1 << n) - 1, dtype=np.uint16)
+    while True:
+        leaf = pop[nbr & alive[:, None]] == 1
+        leaves = np.bitwise_or.reduce(np.where(leaf, vertex, 0), axis=1) & alive
+        if not leaves.any():
+            return pop[alive]
+        alive &= ~leaves
+
+
+# -- candidate streams -------------------------------------------------------
+
+
+def _members(q: ClassQuery, masks: np.ndarray, nbr: np.ndarray):
+    """The rows of a candidate block that belong to the class: degree screens
+    (edge count, pendant count, no isolated vertex) first, then the exact
+    connectivity, odd-cycle and girth tests on the survivors."""
+    n = q.n
+    min_edges = 0
+    if q.require_connected:
+        min_edges = n - 1
+    if q.require_nonbipartite:
+        min_edges = max(min_edges, n if q.require_connected else 3)
+    degs = _popcount()[nbr]
+    keep = (degs == 1).sum(axis=1) == q.k
+    keep &= degs.sum(axis=1) >= 2 * min_edges
+    if q.require_connected and n > 1:
+        keep &= degs.min(axis=1) >= 1
+    masks, nbr = masks[keep], nbr[keep]
+    ok = np.ones(masks.size, dtype=bool)
+    if q.require_connected:
+        ok &= _connected_rows(nbr)
+    if q.unicyclic_girth is not None:
+        ok &= _cycle_len_rows(nbr) == q.unicyclic_girth
+    elif q.require_nonbipartite:
+        ok &= _odd_cycle_rows(nbr)
+    return masks[ok], nbr[ok]
+
+
 def _shard_blocks(total_bits: int, shard_index: int, shard_count: int):
     """Contiguous mask ranges forming one shard (top-bit subcubes mod W)."""
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
-        raise InvalidParameterError(
-            f"bad shard spec {shard_index}/{shard_count}"
-        )
     bits = min((shard_count - 1).bit_length(), total_bits)
     width = 1 << (total_bits - bits)
     for sub in range(1 << bits):
@@ -85,212 +206,71 @@ def _shard_blocks(total_bits: int, shard_index: int, shard_count: int):
             yield sub * width, (sub + 1) * width
 
 
-def _nbrs_from_mask(n: int, mask: int, edges) -> list[int]:
-    m = mask
-    nbr = [0] * n
-    total = len(edges)
-    while m:
-        low = m & -m
-        pos = low.bit_length() - 1
-        i, j = edges[total - 1 - pos]
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-        m ^= low
-    return nbr
-
-
-def _connected(nbr: list[int], n: int) -> bool:
-    reach = 1
-    frontier = 1
-    while frontier:
-        acc = 0
-        m = frontier
-        while m:
-            low = m & -m
-            acc |= nbr[low.bit_length() - 1]
-            m ^= low
-        frontier = acc & ~reach
-        reach |= frontier
-    return reach == (1 << n) - 1
-
-
-def _bipartite(nbr: list[int], n: int) -> bool:
-    part = [-1] * n
-    for root in range(n):
-        if part[root] >= 0:
-            continue
-        part[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            m = nbr[x]
-            while m:
-                low = m & -m
-                y = low.bit_length() - 1
-                m ^= low
-                if part[y] < 0:
-                    part[y] = 1 - part[x]
-                    queue.append(y)
-                elif part[y] == part[x]:
-                    return False
-    return True
-
-
-def _unicyclic_cycle_len(nbr: list[int], n: int) -> int:
-    """Length of the unique cycle of a connected graph with n edges,
-    found by iteratively peeling degree-1 vertices."""
-    local = list(nbr)
-    deg = [m.bit_count() for m in local]
-    leaves = deque(v for v in range(n) if deg[v] == 1)
-    alive = n
-    while leaves:
-        v = leaves.popleft()
-        if deg[v] != 1:
-            continue
-        alive -= 1
-        m = local[v]
-        local[v] = 0
-        deg[v] = 0
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            local[w] &= ~(1 << v)
-            deg[w] -= 1
-            if deg[w] == 1:
-                leaves.append(w)
-    return alive
-
-
-# -- candidate streams -------------------------------------------------------
-
-
 def _general_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Yield (masks, bits, degrees) numpy blocks of class members, plus the
-    per-edge incidence used to build them; masks increase within the shard."""
+    """Yield (masks, nbr) blocks of class members; masks increase within the
+    shard."""
     n = q.n
-    edges = _edge_list(n)
-    m_edges = len(edges)
-    shifts = np.arange(m_edges - 1, -1, -1, dtype=np.int64)  # bit of edge b
-    inc = np.zeros((m_edges, n), dtype=np.uint8)
-    for b, (i, j) in enumerate(edges):
-        inc[b, i] = inc[b, j] = 1
-    min_edges = 0
-    if q.require_connected:
-        min_edges = max(min_edges, n - 1)
-    if q.require_nonbipartite:
-        min_edges = max(min_edges, n if q.require_connected else 3)
-    for lo, hi in _shard_blocks(m_edges, shard_index, shard_count):
+    for lo, hi in _shard_blocks(n * (n - 1) // 2, shard_index, shard_count):
         for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            masks = np.arange(start, stop, dtype=np.int64)
-            bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-            ecount = bits.sum(axis=1)
-            keep = ecount >= min_edges
-            degs = bits @ inc
-            keep &= (degs == 1).sum(axis=1) == q.k
-            if q.require_connected and n > 1:
-                keep &= degs.min(axis=1) >= 1
-            idx = np.nonzero(keep)[0]
-            if idx.size == 0:
-                continue
-            final = []
-            for at, row in enumerate(bits[idx].tolist()):
-                nbr = [0] * n
-                for b, present in enumerate(row):
-                    if present:
-                        i, j = edges[b]
-                        nbr[i] |= 1 << j
-                        nbr[j] |= 1 << i
-                if q.require_connected and not _connected(nbr, n):
-                    continue
-                if q.require_nonbipartite and _bipartite(nbr, n):
-                    continue
-                final.append(at)
-            if final:
-                sel = idx[np.asarray(final)]
-                yield masks[sel], bits[sel], degs[sel]
+            masks = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
+            yield _members(q, masks, _nbr_rows(n, masks))
 
 
-@functools.lru_cache(maxsize=4)
-def _combo_array(m_edges: int, n_pick: int) -> np.ndarray:
-    """All n_pick-subsets of 0..m_edges-1, lexicographic, as a (C, n_pick)
-    array.  Cached because every unicyclic query at one order shares it."""
-    out = np.empty((math.comb(m_edges, n_pick), n_pick), dtype=np.int8)
-    it = itertools.combinations(range(m_edges), n_pick)
-    at = 0
-    while True:
-        block = list(itertools.islice(it, 200_000))
-        if not block:
-            break
-        out[at : at + len(block)] = block
-        at += len(block)
+@functools.cache
+def _rank_offsets(m: int, k: int) -> np.ndarray:
+    """offsets[i, a] = sum over a' < a of C(m-1-a', k-1-i).  Among the
+    k-subsets of 0..m-1 sharing entries 0..i-1, the last of them p, those
+    whose entry i is c come after offsets[i, c] - offsets[i, p+1] others."""
+    counts = [[math.comb(m - 1 - a, k - 1 - i) for a in range(m)] for i in range(k)]
+    offsets = np.zeros((k, m + 1), dtype=np.int64)
+    offsets[:, 1:] = np.cumsum(np.array(counts, dtype=np.int64), axis=1)
+    return offsets
+
+
+def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the lexicographic list of the k-subsets of 0..m-1."""
+    offsets = _rank_offsets(m, k)
+    rank = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((rank.size, k), dtype=np.int64)
+    least = np.zeros(rank.size, dtype=np.int64)  # smallest entry allowed next
+    for i in range(k):
+        skipped = offsets[i, least]
+        out[:, i] = np.searchsorted(offsets[i], rank + skipped, side="right") - 1
+        rank -= offsets[i, out[:, i]] - skipped
+        least = out[:, i] + 1
     return out
 
 
 def _unicyclic_stream(q: ClassQuery, shard_index: int, shard_count: int):
     """Same contract as _general_stream for unicyclic-with-girth queries;
-    enumerates the n-edge subsets of K_n in lexicographic combination order."""
+    visits this shard's rank range of the n-edge subsets of K_n."""
     n = q.n
-    edges = _edge_list(n)
-    m_edges = len(edges)
-    combos = _combo_array(m_edges, n)
-    inc = np.zeros((m_edges, n), dtype=np.uint8)
-    for b, (i, j) in enumerate(edges):
-        inc[b, i] = inc[b, j] = 1
-    shard_bits = (shard_count - 1).bit_length()
-    bitpos = [1 << (m_edges - 1 - b) for b in range(m_edges)]
-    for start in range(0, combos.shape[0], _CHUNK):
-        block = combos[start : start + _CHUNK]
-        degs = inc[block].sum(axis=1, dtype=np.uint8)
-        keep = (degs == 1).sum(axis=1) == q.k
-        keep &= degs.min(axis=1) >= 1
-        if shard_bits:
-            sub = np.zeros(block.shape[0], dtype=np.int64)
-            for b in range(shard_bits):
-                sub |= ((block == b).any(axis=1)).astype(np.int64) << (
-                    shard_bits - 1 - b
-                )
-            keep &= (sub % shard_count) == shard_index
-        idx = np.nonzero(keep)[0]
-        if idx.size == 0:
-            continue
-        final = []
-        masks = []
-        for at, combo in enumerate(block[idx].tolist()):
-            nbr = [0] * n
-            mask = 0
-            for b in combo:
-                i, j = edges[b]
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-                mask |= bitpos[b]
-            if not _connected(nbr, n):
-                continue
-            if _unicyclic_cycle_len(nbr, n) != q.unicyclic_girth:
-                continue
-            final.append(at)
-            masks.append(mask)
-        if final:
-            sel = idx[np.asarray(final)]
-            bits = np.zeros((sel.size, m_edges), dtype=np.uint8)
-            rows = np.repeat(np.arange(sel.size), n)
-            bits[rows, block[sel].reshape(-1)] = 1
-            yield np.asarray(masks, dtype=np.int64), bits, degs[sel]
+    m_edges = n * (n - 1) // 2
+    total = math.comb(m_edges, n)
+    edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
+    lo = total * shard_index // shard_count
+    hi = total * (shard_index + 1) // shard_count
+    for start in range(lo, hi, _CHUNK):
+        subsets = _unrank(m_edges, n, start, min(start + _CHUNK, hi))
+        masks = edge_bit[subsets].sum(axis=1)
+        yield _members(q, masks, _nbr_rows(n, masks))
 
 
 def _class_stream(q: ClassQuery, shard_index, shard_count, general_cap, unicyclic_cap):
+    if shard_count < 1 or not 0 <= shard_index < shard_count:
+        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
     if q.unicyclic_girth is not None:
-        cap = min(unicyclic_cap, UNICYCLIC_ORDER_MAX)
+        cap = min(unicyclic_cap, ORDER_MAX)
         if q.n > cap:
             raise CapacityExceededError(
                 f"unicyclic enumeration capped at order {cap}; order {q.n} has "
                 f"about {math.comb(math.comb(q.n, 2), q.n):.2e} edge subsets"
             )
         return _unicyclic_stream(q, shard_index, shard_count)
-    if q.n > general_cap:
+    cap = min(general_cap, ORDER_MAX)
+    if q.n > cap:
         raise CapacityExceededError(
-            f"general enumeration capped at order {general_cap}; order {q.n} has "
+            f"general enumeration capped at order {cap}; order {q.n} has "
             f"2^{math.comb(q.n, 2)} labeled graphs"
         )
     return _general_stream(q, shard_index, shard_count)
@@ -311,11 +291,10 @@ def enumerate_class(
     the exact connectivity/bipartiteness/girth checks.  Returns the count.
     """
     count = 0
-    edges = _edge_list(q.n)
-    for masks, _, _ in _class_stream(q, shard_index, shard_count, general_cap, unicyclic_cap):
-        for mask in masks.tolist():
-            visitor(Graph(q.n, tuple(_nbrs_from_mask(q.n, int(mask), edges))))
-            count += 1
+    for masks, nbr in _class_stream(q, shard_index, shard_count, general_cap, unicyclic_cap):
+        for row in nbr.tolist():
+            visitor(Graph(q.n, tuple(row)))
+        count += masks.size
     return count
 
 
@@ -332,17 +311,32 @@ class SearchResult:
     graphs_examined: int
 
 
-@dataclass(frozen=True)
-class _ShardScan:
-    count: int
-    min_value: float
-    min_witnesses: tuple[tuple[int, float], ...]
-    max_value: float
-    max_witnesses: tuple[tuple[int, float], ...]
-
-
 def _tie_window(value: float, tie_tol: float) -> float:
     return tie_tol * (1.0 + abs(value))
+
+
+def _keep_ties(objective: str, tie_tol: float, masks: np.ndarray, values: np.ndarray):
+    """The best value, and the masks and values of the candidates within its
+    tie window.  Applied to the ties kept so far plus a new batch, this keeps
+    exactly what a one-at-a-time scan would, since the window's edge moves
+    monotonically with the best value."""
+    if objective == "min":
+        best = float(values.min())
+        keep = values <= best + _tie_window(best, tie_tol)
+    else:
+        best = float(values.max())
+        keep = values >= best - _tie_window(best, tie_tol)
+    return best, masks[keep], values[keep]
+
+
+def _least_values(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and least Q-eigenvalues of the members of some stream blocks."""
+    masks = np.concatenate([m for m, _ in blocks])
+    nbr = np.concatenate([b for _, b in blocks])
+    ax = np.arange(n)
+    qs = ((nbr[:, :, None] >> ax) & 1).astype(np.float64)
+    qs[:, ax, ax] = _popcount()[nbr]
+    return masks, qmin_stack(qs)
 
 
 def _scan_shard(
@@ -352,95 +346,77 @@ def _scan_shard(
     shard_count: int,
     general_cap: int,
     unicyclic_cap: int,
-) -> _ShardScan:
-    n = q.n
+):
+    """Count one shard's members and keep, per objective, the (masks, values)
+    of every member within the tie window of the shard's best value."""
+    ties = {obj: (np.zeros(0, dtype=np.int64), np.zeros(0)) for obj in ("min", "max")}
     count = 0
-    best_min = math.inf
-    best_max = -math.inf
-    min_wit: list[tuple[int, float]] = []
-    max_wit: list[tuple[int, float]] = []
-    pend_masks: list[int] = []
-    pend_rows: list[np.ndarray] = []
-    pend_degs: list[np.ndarray] = []
-    pend_size = 0
-    ii = np.array([e[0] for e in _edge_list(n)])
-    jj = np.array([e[1] for e in _edge_list(n)])
-    ax = np.arange(n)
+    pending: list = []
 
     def flush():
-        nonlocal pend_size, best_min, best_max, min_wit, max_wit
-        if not pend_size:
-            return
-        bits = np.concatenate(pend_rows, axis=0).astype(np.float64)
-        degs = np.concatenate(pend_degs, axis=0).astype(np.float64)
-        qs = np.zeros((bits.shape[0], n, n))
-        qs[:, ii, jj] = bits
-        qs[:, jj, ii] = bits
-        qs[:, ax, ax] = degs
-        values = qmin_stack(qs)
-        for mask, val in zip(pend_masks, values.tolist()):
-            if val < best_min:
-                best_min = val
-                win = _tie_window(best_min, tie_tol)
-                min_wit = [(m, v) for m, v in min_wit if v <= best_min + win]
-            if val <= best_min + _tie_window(best_min, tie_tol):
-                min_wit.append((mask, val))
-            if val > best_max:
-                best_max = val
-                win = _tie_window(best_max, tie_tol)
-                max_wit = [(m, v) for m, v in max_wit if v >= best_max - win]
-            if val >= best_max - _tie_window(best_max, tie_tol):
-                max_wit.append((mask, val))
-        pend_masks.clear()
-        pend_rows.clear()
-        pend_degs.clear()
-        pend_size = 0
+        masks, values = _least_values(q.n, pending)
+        pending.clear()
+        for obj in ("min", "max"):
+            kept_masks, kept_values = ties[obj]
+            _, kept_masks, kept_values = _keep_ties(
+                obj,
+                tie_tol,
+                np.concatenate([kept_masks, masks]),
+                np.concatenate([kept_values, values]),
+            )
+            ties[obj] = kept_masks, kept_values
 
-    for masks, bits, degs in _class_stream(
-        q, shard_index, shard_count, general_cap, unicyclic_cap
-    ):
-        count += masks.shape[0]
-        pend_masks.extend(int(m) for m in masks.tolist())
-        pend_rows.append(bits)
-        pend_degs.append(degs)
-        pend_size += masks.shape[0]
-        if pend_size >= _EIG_BATCH:
+    waiting = 0
+    for masks, nbr in _class_stream(q, shard_index, shard_count, general_cap, unicyclic_cap):
+        count += masks.size
+        pending.append((masks, nbr))
+        waiting += masks.size
+        if waiting >= _EIG_BATCH:
             flush()
-    flush()
-    return _ShardScan(
-        count=count,
-        min_value=best_min,
-        min_witnesses=tuple(min_wit),
-        max_value=best_max,
-        max_witnesses=tuple(max_wit),
-    )
-
-
-@dataclass(frozen=True)
-class _ClassScan:
-    count: int
-    minimum: SearchResult
-    maximum: SearchResult
+            waiting = 0
+    if waiting:
+        flush()
+    return count, ties
 
 
 _scan_cache: dict = {}
 
 
-def _dedup_witnesses(n: int, pairs, value: float, tie_tol: float, objective: str):
-    """Reduce within-tolerance witnesses to one representative per
-    isomorphism class, ordered by first appearance (lowest mask)."""
+@functools.lru_cache(maxsize=2)
+def _permutations(n: int) -> np.ndarray:
+    """All n! relabellings of 0..n-1 as an (n!, n) int8 table."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(flat, dtype=np.int8, count=math.factorial(n) * n).reshape(-1, n)
+
+
+def _orbit(n: int, mask: int) -> np.ndarray:
+    """Masks of the images of one labeled graph under every relabelling."""
     edges = _edge_list(n)
-    window = _tie_window(value, tie_tol)
-    if objective == "min":
-        kept = [(m, v) for m, v in pairs if v <= value + window]
-    else:
-        kept = [(m, v) for m, v in pairs if v >= value - window]
-    kept.sort()
-    reps: list[Graph] = []
-    for mask, _ in kept:
-        graph = Graph(n, tuple(_nbrs_from_mask(n, mask, edges)))
-        if not any(is_isomorphic(graph, rep) for rep in reps):
-            reps.append(graph)
+    m_edges = len(edges)
+    bit = np.zeros((n, n), dtype=np.int64)
+    for b, (i, j) in enumerate(edges):
+        bit[i, j] = bit[j, i] = 1 << (m_edges - 1 - b)
+    perms = _permutations(n)
+    image = np.zeros(perms.shape[0], dtype=np.int64)
+    for b, (i, j) in enumerate(edges):
+        if (mask >> (m_edges - 1 - b)) & 1:
+            image |= bit[perms[:, i], perms[:, j]]
+    return image
+
+
+def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
+    """One representative per isomorphism class of the witness masks, in
+    order of first appearance (lowest mask).
+
+    Each new representative strikes its whole orbit from the rest: W is
+    isomorphic to R exactly when mask(W) is the mask of some relabelling of
+    R.  The work grows with the number of classes, not of tied graphs.
+    """
+    rest = np.sort(masks)
+    reps = []
+    while rest.size:
+        reps.append(Graph(n, tuple(_nbr_rows(n, rest[:1])[0].tolist())))
+        rest = rest[~np.isin(rest, _orbit(n, int(rest[0])))]
     return tuple(reps)
 
 
@@ -450,7 +426,7 @@ def _run_scan(
     shards: int,
     general_cap: int,
     unicyclic_cap: int,
-) -> _ClassScan:
+) -> dict[str, SearchResult]:
     key = (q, tie_tol, shards, general_cap, unicyclic_cap)
     hit = _scan_cache.get(key)
     if hit is not None:
@@ -459,31 +435,19 @@ def _run_scan(
         _scan_shard(q, tie_tol, s, shards, general_cap, unicyclic_cap)
         for s in range(shards)
     ]
-    count = sum(p.count for p in partials)
-    if count == 0:
-        empty_min = SearchResult("min", math.nan, (), 0)
-        empty_max = SearchResult("max", math.nan, (), 0)
-        scan = _ClassScan(0, empty_min, empty_max)
-    else:
-        best_min = min(p.min_value for p in partials)
-        best_max = max(p.max_value for p in partials)
-        min_pairs = [pair for p in partials for pair in p.min_witnesses]
-        max_pairs = [pair for p in partials for pair in p.max_witnesses]
-        scan = _ClassScan(
-            count,
-            SearchResult(
-                "min",
-                best_min,
-                _dedup_witnesses(q.n, min_pairs, best_min, tie_tol, "min"),
-                count,
-            ),
-            SearchResult(
-                "max",
-                best_max,
-                _dedup_witnesses(q.n, max_pairs, best_max, tie_tol, "max"),
-                count,
-            ),
+    count = sum(c for c, _ in partials)
+    scan = {}
+    for obj in ("min", "max"):
+        if count == 0:
+            scan[obj] = SearchResult(obj, math.nan, (), 0)
+            continue
+        best, masks, _ = _keep_ties(
+            obj,
+            tie_tol,
+            np.concatenate([ties[obj][0] for _, ties in partials]),
+            np.concatenate([ties[obj][1] for _, ties in partials]),
         )
+        scan[obj] = SearchResult(obj, best, _dedup_witnesses(q.n, masks), count)
     _scan_cache[key] = scan
     return scan
 
@@ -508,8 +472,7 @@ def find_extremal(
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
     if shards < 1:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    scan = _run_scan(q, tie_tol, shards, general_cap, unicyclic_cap)
-    return scan.minimum if objective == "min" else scan.maximum
+    return _run_scan(q, tie_tol, shards, general_cap, unicyclic_cap)[objective]
 
 
 def alpha(n: int, k: int, g: int) -> float:

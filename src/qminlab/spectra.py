@@ -84,11 +84,19 @@ def q_min_of(
     broken by lowest vertex index.
     """
     spec = eig_sym(q_matrix(g))
-    value = float(spec.eigenvalues[0])
+    return _least_pair(spec.eigenvalues, spec.eigenvectors, group_tol)
+
+
+def _least_pair(values, vectors, group_tol=None):
+    """``q_min_of``'s (value, vector, multiplicity) from ascending eigenvalues
+    and their eigenvector columns; with ``vectors`` None the vector is None."""
+    value = float(values[0])
     if group_tol is None:
         group_tol = DEFAULT_GROUP_TOL * (1.0 + abs(value))
-    multiplicity = int(np.sum(spec.eigenvalues <= value + group_tol))
-    vector = spec.eigenvectors[:, 0].copy()
+    multiplicity = int(np.sum(values <= value + group_tol))
+    if vectors is None:
+        return value, None, multiplicity
+    vector = vectors[:, 0].copy()
     mags = np.abs(vector)
     lead = int(np.argmax(mags >= mags.max() * (1.0 - _LEAD_TIE_TOL)))
     if vector[lead] < 0:

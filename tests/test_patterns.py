@@ -8,6 +8,7 @@ import pytest
 
 from qminlab import (
     BranchSpec,
+    DegenerateSpectrumError,
     Graph,
     InvalidParameterError,
     PendantProfile,
@@ -234,6 +235,22 @@ def test_u_pattern_rejects_non_eigenvector():
     g, lm = build_U_std(7, 1, 3)
     with pytest.raises(InvalidParameterError):
         check_U_pattern(g, lm, np.ones(7))
+
+
+def test_u_pattern_refuses_a_multiple_least_eigenvalue(monkeypatch):
+    # the family's least eigenvalue is simple, so fake a tie with the next one
+    g, lm = build_U_std(7, 1, 3)
+    _, x, _ = q_min_of(g)
+    eigvalsh = np.linalg.eigvalsh
+
+    def tied(m):
+        values = eigvalsh(m)
+        values[1] = values[0]
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", tied)
+    with pytest.raises(DegenerateSpectrumError, match="multiplicity 2; pattern needs 1"):
+        check_U_pattern(g, lm, x)
 
 
 def test_u_pattern_grid_subset():

@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qminlab import (
@@ -31,10 +33,12 @@ from qminlab import (
     q_min_of,
     relocation_experiment,
 )
+from qminlab import search
 from qminlab.charpoly import charpoly_oracle
+from qminlab.graphs import girth, is_connected, odd_girth, two_coloring
 
 
-def brute_force_class_count(n, k, unicyclic_girth=None):
+def brute_force_class_count(n, k, unicyclic_girth=None, require_connected=True):
     """Independent labeled count: direct edge-subset enumeration with naive
     set-based connectivity and odd-cycle detection."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -57,19 +61,23 @@ def brute_force_class_count(n, k, unicyclic_girth=None):
                 continue
             seen.add(v)
             stack.extend(adj[v])
-        if len(seen) != n:
+        if require_connected and len(seen) != n:
             continue
-        color = {0: 0}
-        stack = [0]
+        color = {}
         bipartite = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
+        for root in range(n):
+            if root in color:
+                continue
+            color[root] = 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w in adj[v]:
+                    if w not in color:
+                        color[w] = 1 - color[v]
+                        stack.append(w)
+                    elif color[w] == color[v]:
+                        bipartite = False
         if bipartite:
             continue
         if unicyclic_girth is not None:
@@ -108,6 +116,58 @@ def test_counts_match_oracle_on_more_classes():
     expected = brute_force_class_count(6, 1, unicyclic_girth=3)
     q = ClassQuery(n=6, k=1, unicyclic_girth=3)
     assert enumerate_class(q, lambda g: None) == expected
+
+
+def test_count_disconnected_nonbipartite_classes():
+    # members may be disconnected, with the odd cycle in any component
+    for n, k in [(5, 0), (5, 1), (6, 1), (6, 2)]:
+        expected = brute_force_class_count(n, k, require_connected=False)
+        assert expected > brute_force_class_count(n, k)  # disconnected members exist
+        q = ClassQuery(n=n, k=k, require_connected=False)
+        assert enumerate_class(q, lambda g: None) == expected
+
+
+def _graph_of_mask(n, mask):
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    m = len(pairs)
+    return Graph.from_edges(n, [pairs[b] for b in range(m) if (mask >> (m - 1 - b)) & 1])
+
+
+def _check_batch_predicates(n, masks):
+    nbr = search._nbr_rows(n, np.asarray(masks, dtype=np.int64))
+    connected = search._connected_rows(nbr).tolist()
+    odd_cycle = search._odd_cycle_rows(nbr).tolist()
+    cycle_len = search._cycle_len_rows(nbr).tolist()
+    cycles = []
+    for at, mask in enumerate(masks):
+        g = _graph_of_mask(n, mask)
+        assert tuple(nbr[at].tolist()) == g.nbr, mask
+        assert connected[at] == is_connected(g), mask
+        assert odd_cycle[at] == (two_coloring(g) is None), mask
+        assert odd_cycle[at] == (odd_girth(g) is not None), mask
+        if connected[at] and g.edge_count == n:
+            assert cycle_len[at] == girth(g), mask
+            cycles.append(cycle_len[at])
+    return connected.count(False), cycles
+
+
+def test_batch_predicates_match_graphs_on_every_small_graph():
+    for n in range(1, 7):
+        _check_batch_predicates(n, list(range(1 << (n * (n - 1) // 2))))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_batch_predicates_match_graphs_on_random_graphs(n):
+    rng = random.Random(8 * n + 1)
+    m = n * (n - 1) // 2
+    masks = []
+    for p in (0.1, 0.2, 0.3, 0.5):  # sparse draws are mostly disconnected
+        for _ in range(500):
+            masks.append(sum(1 << b for b in range(m) if rng.random() < p))
+    for _ in range(1500):  # n edges: the unicyclic candidates peeling sees
+        masks.append(sum(1 << b for b in rng.sample(range(m), n)))
+    disconnected, cycles = _check_batch_predicates(n, masks)
+    assert disconnected > 0 and len(set(cycles)) > 2
 
 
 def test_query_validation():
@@ -153,6 +213,69 @@ def test_shards_partition_the_class():
     merged = [g6 for part in sharded for g6 in part]
     assert sorted(merged) == sorted(full)
     assert sum(len(p) for p in sharded) == len(full)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ClassQuery(n=7, k=1, unicyclic_girth=3),
+        ClassQuery(n=7, k=1, unicyclic_girth=5),
+        ClassQuery(n=6, k=2, unicyclic_girth=3),
+    ],
+)
+def test_unicyclic_shards_partition_the_class_in_order(query):
+    full = []
+    enumerate_class(query, lambda g: full.append(encode_graph6(g)))
+    for shards in (2, 3, 4):
+        merged = []
+        for s in range(shards):
+            enumerate_class(
+                query, lambda g: merged.append(encode_graph6(g)),
+                shard_index=s, shard_count=shards,
+            )
+        assert merged == full
+    for objective in ("min", "max"):
+        plain = find_extremal(query, objective)
+        for shards in (2, 3, 4):
+            sharded = find_extremal(query, objective, shards=shards)
+            assert sharded.extremal_value == plain.extremal_value
+            assert sharded.graphs_examined == plain.graphs_examined
+            assert [encode_graph6(w) for w in sharded.witnesses] == [
+                encode_graph6(w) for w in plain.witnesses
+            ]
+
+
+def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
+    # shard 100 of 4096 is the lexicographic 9-edge subsets of ranks
+    # C*100//4096 .. C*101//4096 - 1, C = C(36, 9)
+    q = ClassQuery(n=9, k=1, unicyclic_girth=3)
+    total = math.comb(36, 9)
+    seen = []
+    search._half_tables.cache_clear()
+    search._rank_offsets.cache_clear()
+    tracemalloc.start()
+    try:
+        enumerate_class(
+            q, lambda g: seen.append(g.nbr), shard_index=100, shard_count=4096,
+            unicyclic_cap=9,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    pairs = [(i, j) for j in range(1, 9) for i in range(j)]
+    expected = []
+    for subset in itertools.islice(
+        itertools.combinations(range(36), 9), total * 100 // 4096, total * 101 // 4096
+    ):
+        g = Graph.from_edges(9, [pairs[b] for b in subset])
+        if (
+            sum(1 for d in g.degrees() if d == 1) == 1
+            and is_connected(g)
+            and girth(g) == 3
+        ):
+            expected.append(g.nbr)
+    assert seen == expected and expected
 
 
 def test_capacity_caps():
@@ -203,6 +326,31 @@ def test_sharded_results_bit_identical():
         assert [encode_graph6(w) for w in sharded.witnesses] == [
             encode_graph6(w) for w in plain.witnesses
         ]
+
+
+def _pairwise_dedup(n, masks):
+    """Reference: keep a witness unless it is isomorphic to a kept one."""
+    reps = []
+    for mask in sorted(masks):
+        g = _graph_of_mask(n, mask)
+        if not any(is_isomorphic(g, r) for r in reps):
+            reps.append(g)
+    return reps
+
+
+@pytest.mark.parametrize(
+    "query", [ClassQuery(n=7, k=2), ClassQuery(n=8, k=1, unicyclic_girth=3)]
+)
+def test_orbit_dedup_matches_pairwise_isomorphism(query):
+    _, ties = search._scan_shard(
+        query, search.DEFAULT_TIE_TOL, 0, 1,
+        search.GENERAL_ORDER_CAP, search.UNICYCLIC_ORDER_CAP,
+    )
+    for objective in ("min", "max"):
+        _, masks, _ = search._keep_ties(objective, search.DEFAULT_TIE_TOL, *ties[objective])
+        reps = search._dedup_witnesses(query.n, masks)
+        expected = _pairwise_dedup(query.n, masks.tolist())
+        assert [encode_graph6(g) for g in reps] == [encode_graph6(g) for g in expected]
 
 
 def test_empty_class():
