@@ -22,7 +22,7 @@ from .errors import QminlabError
 from .families import PendantProfile, UParams, balanced_profile, build_K, build_U, build_U_std
 from .graph6 import decode_graph6, encode_graph6, parse_edge_list
 from .graphs import Graph, is_isomorphic, structure_report
-from .search import ClassQuery, alpha, find_extremal, majorization_scan
+from .search import DEFAULT_TIE_TOL, ClassQuery, alpha, find_extremal, majorization_scan
 from .spectra import DEFAULT_GROUP_TOL, _least_pair, eig_sym, q_matrix, q_min_of
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ EXIT_USAGE = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run-wide settings shared by all commands."""
+    """Validated run-wide settings; a command without a flag gets its default."""
 
     group_tol: float
     tie_tol: float
@@ -42,8 +42,8 @@ class RunConfig:
     @staticmethod
     def from_args(args) -> "RunConfig":
         cfg = RunConfig(
-            group_tol=args.group_tol,
-            tie_tol=args.tie_tol,
+            group_tol=getattr(args, "group_tol", DEFAULT_GROUP_TOL),
+            tie_tol=getattr(args, "tie_tol", DEFAULT_TIE_TOL),
             shards=getattr(args, "shards", 1),
             output=getattr(args, "output", None),
         )
@@ -273,18 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, shards=False):
-        p.add_argument(
-            "--group-tol", type=float, default=DEFAULT_GROUP_TOL, dest="group_tol"
-        )
-        p.add_argument("--tie-tol", type=float, default=1e-8, dest="tie_tol")
+    def common(p, group_tol=False):
+        if group_tol:
+            p.add_argument(
+                "--group-tol", type=float, default=DEFAULT_GROUP_TOL, dest="group_tol"
+            )
         p.add_argument("-o", "--output", default=None)
-        if shards:
-            p.add_argument("--shards", type=int, default=1)
 
     p_spec = sub.add_parser("spectrum", help="structure report and Q-spectrum")
     p_spec.add_argument("input", help="graph6 string or edge-list file path")
-    common(p_spec)
+    common(p_spec, group_tol=True)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_fam = sub.add_parser("family", help="construct a named family member")
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--l", type=int, default=None)
     p_fam.add_argument("--lengths", default=None, help="pendant path lengths, e.g. 2,2,3")
     p_fam.add_argument("--profile", default=None, help="pendant profile, e.g. 2,2,1,1")
-    common(p_fam)
+    common(p_fam, group_tol=True)
     p_fam.set_defaults(func=cmd_family)
 
     p_ver = sub.add_parser("verify", help="exhaustive extremal verification")
@@ -303,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--k", type=int, required=True)
     p_ver.add_argument("--g", type=int, default=None)
-    common(p_ver, shards=True)
+    p_ver.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL, dest="tie_tol")
+    p_ver.add_argument("--shards", type=int, default=1)
+    common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="CSV sweeps")

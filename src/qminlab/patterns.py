@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidParameterError
 from .families import ULandmarks
-from .graphs import Graph, _bits, is_connected, two_coloring
+from .graphs import Graph, _bits, _reach_mask, is_connected, two_coloring
 from .spectra import _least_pair, q_matrix, rayleigh, residual
 
 #: Residual allowance when validating that a supplied vector is an eigenvector.
@@ -51,17 +51,10 @@ def split_branches(g: Graph, v: int) -> list[BranchSpec]:
     member index; each component is augmented with the root v."""
     g._check_vertex(v)
     unseen = ((1 << g.n) - 1) & ~(1 << v)
+    nbr = [m & unseen for m in g.nbr]
     comps = []
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        reach = 1 << start
-        frontier = reach
-        while frontier:
-            acc = 0
-            for w in _bits(frontier):
-                acc |= g.nbr[w] & unseen
-            frontier = acc & ~reach
-            reach |= frontier
+        reach = _reach_mask(nbr, unseen & -unseen)
         comps.append(reach)
         unseen &= ~reach
     return [
@@ -98,25 +91,10 @@ def _validate_branch(g: Graph, b: BranchSpec) -> list[tuple[int, int]]:
                 raise InvalidParameterError(
                     f"branch leaks: vertex {p} has neighbor {w} outside it"
                 )
-    edges = [(u, v) for u, v in g.edges() if u in b.members and v in b.members]
-    # connectivity of the induced subgraph
-    members = sorted(b.members)
-    pos = {p: i for i, p in enumerate(members)}
-    local = [0] * len(members)
-    for u, v in edges:
-        local[pos[u]] |= 1 << pos[v]
-        local[pos[v]] |= 1 << pos[u]
-    reach = 1
-    frontier = 1
-    while frontier:
-        acc = 0
-        for i in _bits(frontier):
-            acc |= local[i]
-        frontier = acc & ~reach
-        reach |= frontier
-    if reach != (1 << len(members)) - 1:
+    inside = sum(1 << p for p in b.members)
+    if _reach_mask([m & inside for m in g.nbr], 1 << b.root) != inside:
         raise InvalidParameterError("branch members do not induce a connected graph")
-    return edges
+    return [(u, v) for u, v in g.edges() if u in b.members and v in b.members]
 
 
 def _branch_two_coloring(g: Graph, b: BranchSpec) -> dict[int, int]:

@@ -2,16 +2,16 @@
 
 Classes are enumerated as edge subsets of the complete graph.  Edge b of
 K_n (column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b of
-the subset mask.  General classes are visited in increasing mask order;
-fixing the first ceil(log2 W) adjacency decisions (the mask's top bits)
-partitions them into W deterministic shards of contiguous mask ranges.
-Unicyclic classes are visited as the n-edge subsets in lexicographic
-combination order; shard s of W is the rank range [C*s/W, C*(s+1)/W) of the
-C subsets, so no shard rescans another's.  Either way the unsharded visit
-order is the shards' orders concatenated, and merged shard results equal
-the unsharded ones bit for bit because ``qmin_stack`` gives each matrix the
-same least eigenvalue whatever batch it is solved in (a test re-proves this
-on a whole class).
+the subset mask.  A class has C candidates, each with a rank: a general
+class's candidates are the 2^M masks in increasing order (rank = mask), a
+unicyclic class's are the C(M, n) n-edge subsets in lexicographic
+combination order.  Shard s of W visits the rank range [C*s/W, C*(s+1)/W),
+so no shard rescans another's, the unsharded visit order is the shards'
+orders concatenated, and merged shard results equal the unsharded ones bit
+for bit because ``qmin_stack`` gives each matrix the same least eigenvalue
+whatever batch it is solved in (a test re-proves this on a whole class).
+A class with more than CANDIDATE_CAP candidates is refused: general
+classes run through order 8 (2^28), unicyclic ones through order 9.
 
 Candidates travel in blocks: an (N,) int64 array of masks with an (N, n)
 uint16 array of neighbour masks, row v holding the bitmask of v's
@@ -39,9 +39,7 @@ from .graphs import Graph, coalesce, is_connected, two_coloring
 from .patterns import PatternReport
 from .spectra import eig_sym, q_matrix, q_min_of, qmin_stack
 
-GENERAL_ORDER_CAP = 8
-UNICYCLIC_ORDER_CAP = 8  # may be raised to 9 explicitly; beyond is refused
-ORDER_MAX = 9  # neighbour masks index a 2^ORDER_MAX popcount table
+CANDIDATE_CAP = 1 << 28
 DEFAULT_TIE_TOL = 1e-8
 _CHUNK = 1 << 16
 _EIG_BATCH = 4096
@@ -85,8 +83,12 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
 
 @functools.cache
 def _popcount() -> np.ndarray:
-    """Bit counts of 0 .. 2^ORDER_MAX - 1, built on first use."""
-    return np.array([bin(v).count("1") for v in range(1 << ORDER_MAX)], dtype=np.uint8)
+    """Bit counts of every uint16 neighbour mask, built on first use as the
+    sum of the counts of its high and low byte; unpacking all 2^16 masks at
+    once instead raised the peak RSS of an n=7 sweep by 1.7 MB."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    byte = bits.sum(axis=1, dtype=np.uint8)
+    return np.add.outer(byte, byte).ravel()
 
 
 @functools.cache
@@ -197,25 +199,6 @@ def _members(q: ClassQuery, masks: np.ndarray, nbr: np.ndarray):
     return masks[ok], nbr[ok]
 
 
-def _shard_blocks(total_bits: int, shard_index: int, shard_count: int):
-    """Contiguous mask ranges forming one shard (top-bit subcubes mod W)."""
-    bits = min((shard_count - 1).bit_length(), total_bits)
-    width = 1 << (total_bits - bits)
-    for sub in range(1 << bits):
-        if sub % shard_count == shard_index:
-            yield sub * width, (sub + 1) * width
-
-
-def _general_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Yield (masks, nbr) blocks of class members; masks increase within the
-    shard."""
-    n = q.n
-    for lo, hi in _shard_blocks(n * (n - 1) // 2, shard_index, shard_count):
-        for start in range(lo, hi, _CHUNK):
-            masks = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-            yield _members(q, masks, _nbr_rows(n, masks))
-
-
 @functools.cache
 def _rank_offsets(m: int, k: int) -> np.ndarray:
     """offsets[i, a] = sum over a' < a of C(m-1-a', k-1-i).  Among the
@@ -241,39 +224,35 @@ def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _unicyclic_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Same contract as _general_stream for unicyclic-with-girth queries;
-    visits this shard's rank range of the n-edge subsets of K_n."""
+def _class_stream(q: ClassQuery, shard_index: int, shard_count: int):
+    """Yield (masks, nbr) blocks of the class members among candidate ranks
+    [C*s/W, C*(s+1)/W) of the class's C, for s = shard_index and
+    W = shard_count, in rank order."""
+    if shard_count < 1 or not 0 <= shard_index < shard_count:
+        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
     n = q.n
     m_edges = n * (n - 1) // 2
-    total = math.comb(m_edges, n)
+    unicyclic = q.unicyclic_girth is not None
+    total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
+    if total > CANDIDATE_CAP:
+        raise CapacityExceededError(
+            f"order {n} has 2^{math.log2(total):.1f} candidate edge subsets, "
+            f"over the cap of 2^{math.log2(CANDIDATE_CAP):.0f}"
+        )
     edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
     lo = total * shard_index // shard_count
     hi = total * (shard_index + 1) // shard_count
     for start in range(lo, hi, _CHUNK):
-        subsets = _unrank(m_edges, n, start, min(start + _CHUNK, hi))
-        masks = edge_bit[subsets].sum(axis=1)
+        stop = min(start + _CHUNK, hi)
+        if unicyclic:
+            # the name keeps this block's subsets alive while the next block
+            # is unranked: freed sooner, their memory goes back to the OS and
+            # every block faults it in again (7x the minor faults at n=8)
+            subsets = _unrank(m_edges, n, start, stop)
+            masks = edge_bit[subsets].sum(axis=1)
+        else:
+            masks = np.arange(start, stop, dtype=np.int64)
         yield _members(q, masks, _nbr_rows(n, masks))
-
-
-def _class_stream(q: ClassQuery, shard_index, shard_count, general_cap, unicyclic_cap):
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
-        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
-    if q.unicyclic_girth is not None:
-        cap = min(unicyclic_cap, ORDER_MAX)
-        if q.n > cap:
-            raise CapacityExceededError(
-                f"unicyclic enumeration capped at order {cap}; order {q.n} has "
-                f"about {math.comb(math.comb(q.n, 2), q.n):.2e} edge subsets"
-            )
-        return _unicyclic_stream(q, shard_index, shard_count)
-    cap = min(general_cap, ORDER_MAX)
-    if q.n > cap:
-        raise CapacityExceededError(
-            f"general enumeration capped at order {cap}; order {q.n} has "
-            f"2^{math.comb(q.n, 2)} labeled graphs"
-        )
-    return _general_stream(q, shard_index, shard_count)
 
 
 def enumerate_class(
@@ -282,8 +261,6 @@ def enumerate_class(
     *,
     shard_index: int = 0,
     shard_count: int = 1,
-    general_cap: int = GENERAL_ORDER_CAP,
-    unicyclic_cap: int = UNICYCLIC_ORDER_CAP,
 ) -> int:
     """Visit every labeled graph of the class exactly once, deterministically.
 
@@ -291,7 +268,7 @@ def enumerate_class(
     the exact connectivity/bipartiteness/girth checks.  Returns the count.
     """
     count = 0
-    for masks, nbr in _class_stream(q, shard_index, shard_count, general_cap, unicyclic_cap):
+    for masks, nbr in _class_stream(q, shard_index, shard_count):
         for row in nbr.tolist():
             visitor(Graph(q.n, tuple(row)))
         count += masks.size
@@ -339,14 +316,7 @@ def _least_values(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     return masks, qmin_stack(qs)
 
 
-def _scan_shard(
-    q: ClassQuery,
-    tie_tol: float,
-    shard_index: int,
-    shard_count: int,
-    general_cap: int,
-    unicyclic_cap: int,
-):
+def _scan_shard(q: ClassQuery, tie_tol: float, shard_index: int, shard_count: int):
     """Count one shard's members and keep, per objective, the (masks, values)
     of every member within the tie window of the shard's best value."""
     ties = {obj: (np.zeros(0, dtype=np.int64), np.zeros(0)) for obj in ("min", "max")}
@@ -367,7 +337,7 @@ def _scan_shard(
             ties[obj] = kept_masks, kept_values
 
     waiting = 0
-    for masks, nbr in _class_stream(q, shard_index, shard_count, general_cap, unicyclic_cap):
+    for masks, nbr in _class_stream(q, shard_index, shard_count):
         count += masks.size
         pending.append((masks, nbr))
         waiting += masks.size
@@ -377,9 +347,6 @@ def _scan_shard(
     if waiting:
         flush()
     return count, ties
-
-
-_scan_cache: dict = {}
 
 
 @functools.lru_cache(maxsize=2)
@@ -420,21 +387,9 @@ def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
-def _run_scan(
-    q: ClassQuery,
-    tie_tol: float,
-    shards: int,
-    general_cap: int,
-    unicyclic_cap: int,
-) -> dict[str, SearchResult]:
-    key = (q, tie_tol, shards, general_cap, unicyclic_cap)
-    hit = _scan_cache.get(key)
-    if hit is not None:
-        return hit
-    partials = [
-        _scan_shard(q, tie_tol, s, shards, general_cap, unicyclic_cap)
-        for s in range(shards)
-    ]
+@functools.lru_cache(maxsize=32)
+def _run_scan(q: ClassQuery, tie_tol: float, shards: int) -> dict[str, SearchResult]:
+    partials = [_scan_shard(q, tie_tol, s, shards) for s in range(shards)]
     count = sum(c for c, _ in partials)
     scan = {}
     for obj in ("min", "max"):
@@ -448,7 +403,6 @@ def _run_scan(
             np.concatenate([ties[obj][1] for _, ties in partials]),
         )
         scan[obj] = SearchResult(obj, best, _dedup_witnesses(q.n, masks), count)
-    _scan_cache[key] = scan
     return scan
 
 
@@ -458,8 +412,6 @@ def find_extremal(
     tie_tol: float = DEFAULT_TIE_TOL,
     *,
     shards: int = 1,
-    general_cap: int = GENERAL_ORDER_CAP,
-    unicyclic_cap: int = UNICYCLIC_ORDER_CAP,
 ) -> SearchResult:
     """Stream the class, track the extremal least eigenvalue, and return all
     witnesses within the tie tolerance, deduplicated up to isomorphism.
@@ -472,7 +424,7 @@ def find_extremal(
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
     if shards < 1:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    return _run_scan(q, tie_tol, shards, general_cap, unicyclic_cap)[objective]
+    return _run_scan(q, tie_tol, shards)[objective]
 
 
 def alpha(n: int, k: int, g: int) -> float:
@@ -562,14 +514,9 @@ def relocation_experiment(
     strict = g2_path and g1_nonbip and (a1 > a2 + hyp_tol or (a1 >= a2 - hyp_tol and a1 > hyp_tol))
     # diagnostic for the equality condition: d_{g2}(u) x(u) + sum of x over
     # u's neighbors inside the relocated branch (zero is necessary for ties)
-    remap = {u: v2}
-    nxt = g1.n
-    for w in range(g2.n):
-        if w != u:
-            remap[w] = nxt
-            nxt += 1
+    # (coalesce puts g2's vertex w != u at g1.n + w - (w > u))
     diag = g2.degree(u) * float(x[v2]) + sum(
-        float(x[remap[w]]) for w in g2.neighbors(u)
+        float(x[g1.n + w - (w > u)]) for w in g2.neighbors(u)
     )
     bad = []
     if weak and not q_after <= q_before + margin:

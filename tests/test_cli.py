@@ -168,6 +168,12 @@ def test_bad_tolerances(capsys):
     assert "positive" in err
 
 
+def test_flags_only_on_commands_that_read_them(capsys):
+    assert run(capsys, "scan", "bounds", "--n", "4", "--tie-tol", "1")[0] == 2
+    assert run(capsys, "verify", "min", "--n", "5", "--k", "1", "--group-tol", "1")[0] == 2
+    assert run(capsys, "spectrum", "Bw", "--shards", "2")[0] == 2
+
+
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "nonsense")
     assert code == 2

@@ -211,8 +211,7 @@ def test_shards_partition_the_class():
         )
         sharded.append(part)
     merged = [g6 for part in sharded for g6 in part]
-    assert sorted(merged) == sorted(full)
-    assert sum(len(p) for p in sharded) == len(full)
+    assert merged == full
 
 
 @pytest.mark.parametrize(
@@ -256,8 +255,7 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
     tracemalloc.start()
     try:
         enumerate_class(
-            q, lambda g: seen.append(g.nbr), shard_index=100, shard_count=4096,
-            unicyclic_cap=9,
+            q, lambda g: seen.append(g.nbr), shard_index=100, shard_count=4096
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -279,16 +277,11 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
 
 
 def test_capacity_caps():
+    # 2^36 and C(45, 10) candidates are over the cap of 2^28
     with pytest.raises(CapacityExceededError):
         enumerate_class(ClassQuery(n=9, k=1), lambda g: None)
     with pytest.raises(CapacityExceededError):
-        enumerate_class(ClassQuery(n=9, k=1, unicyclic_girth=3), lambda g: None)
-    with pytest.raises(CapacityExceededError):
-        enumerate_class(
-            ClassQuery(n=10, k=1, unicyclic_girth=3),
-            lambda g: None,
-            unicyclic_cap=10,  # clamped to the hard maximum of 9
-        )
+        enumerate_class(ClassQuery(n=10, k=1, unicyclic_girth=3), lambda g: None)
 
 
 # -- extremal searches -----------------------------------------------------------
@@ -342,15 +335,23 @@ def _pairwise_dedup(n, masks):
     "query", [ClassQuery(n=7, k=2), ClassQuery(n=8, k=1, unicyclic_girth=3)]
 )
 def test_orbit_dedup_matches_pairwise_isomorphism(query):
-    _, ties = search._scan_shard(
-        query, search.DEFAULT_TIE_TOL, 0, 1,
-        search.GENERAL_ORDER_CAP, search.UNICYCLIC_ORDER_CAP,
-    )
+    _, ties = search._scan_shard(query, search.DEFAULT_TIE_TOL, 0, 1)
     for objective in ("min", "max"):
         _, masks, _ = search._keep_ties(objective, search.DEFAULT_TIE_TOL, *ties[objective])
         reps = search._dedup_witnesses(query.n, masks)
         expected = _pairwise_dedup(query.n, masks.tolist())
         assert [encode_graph6(g) for g in reps] == [encode_graph6(g) for g in expected]
+
+
+def test_scan_cache_is_bounded():
+    queries = [ClassQuery(n=n, k=k) for n in (4, 5, 6) for k in range(n - 2)]
+    for tie_tol in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        for q in queries:
+            find_extremal(q, "min", tie_tol)
+            assert search._run_scan.cache_info().currsize <= 32
+    hits = search._run_scan.cache_info().hits
+    find_extremal(queries[-1], "max", 1e-3)
+    assert search._run_scan.cache_info().hits == hits + 1
 
 
 def test_empty_class():
