@@ -1,6 +1,9 @@
 """Exact characteristic-polynomial oracle."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +16,12 @@ from qminlab import (
     path_graph,
     q_matrix,
 )
-from qminlab.charpoly import charpoly_coeffs, charpoly_oracle, smallest_real_root
+from qminlab.charpoly import (
+    _exact_div,
+    charpoly_coeffs,
+    charpoly_oracle,
+    smallest_real_root,
+)
 
 
 def test_c3_coefficients_and_double_root():
@@ -80,3 +88,241 @@ def test_root_matches_numpy_on_random_graphs():
 def test_constant_polynomial_rejected():
     with pytest.raises(InvalidParameterError):
         smallest_real_root([3])
+
+
+# -- reference: the rational-arithmetic oracle the integer one replaced -----
+
+
+def _ref_charpoly_coeffs(m):
+    a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
+    n = len(a)
+    coeffs = [1]
+    mk = [row[:] for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            prev = [row[:] for row in mk]
+            for i in range(n):
+                prev[i][i] += coeffs[-1]
+            mk = [
+                [sum(a[i][t] * prev[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert rem == 0
+        coeffs.append(ck)
+    return coeffs
+
+
+def _ref_trim(p):
+    i = 0
+    while i < len(p) - 1 and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _ref_eval(p, x):
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _ref_deriv(p):
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])] or [0]
+
+
+def _ref_divmod(num, den):
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    if len(num) < len(den):
+        return [Fraction(0)], _ref_trim(num)
+    quot = []
+    for _ in range(len(num) - len(den) + 1):
+        lead = num[0] / den[0]
+        quot.append(lead)
+        for i in range(len(den)):
+            num[i] -= lead * den[i]
+        num.pop(0)
+    return quot, _ref_trim(num or [Fraction(0)])
+
+
+def _ref_gcd(a, b):
+    a = _ref_trim([Fraction(c) for c in a])
+    b = _ref_trim([Fraction(c) for c in b])
+    while b != [0] and any(b):
+        _, r = _ref_divmod(a, b)
+        a, b = b, _ref_trim(r)
+    return [c / a[0] for c in a]
+
+
+def _ref_squarefree(p):
+    g = _ref_gcd(p, _ref_deriv(p))
+    if len(g) == 1:
+        return [Fraction(c) for c in p]
+    q, r = _ref_divmod(p, g)
+    assert not any(r)
+    return q
+
+
+def _ref_sturm_chain(p):
+    chain = [_ref_trim(list(p)), _ref_trim(_ref_deriv(p))]
+    while len(chain[-1]) > 1 or chain[-1][0] != 0:
+        _, r = _ref_divmod(chain[-2], chain[-1])
+        r = _ref_trim(r)
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _ref_sign_changes(chain, x):
+    signs = []
+    for p in chain:
+        v = _ref_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_smallest_real_root(coeffs, width=1e-12):
+    p = _ref_trim(list(coeffs))
+    bound = 1 + max(abs(Fraction(c) / p[0]) for c in p[1:])
+    chain = _ref_sturm_chain(_ref_squarefree(p))
+    lo, hi = -bound, bound
+    v_lo = _ref_sign_changes(chain, lo)
+    if v_lo - _ref_sign_changes(chain, hi) == 0:
+        raise InvalidParameterError("no real roots")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if v_lo - _ref_sign_changes(chain, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return float((lo + hi) / 2)
+
+
+def _labeled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _random_graphs(seed, count, lo, hi):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(lo, hi)
+        yield Graph.from_edges(
+            n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
+        )
+
+
+def _product(lead, roots):
+    """Coefficients of lead * prod (x - r), descending powers."""
+    p = [lead]
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+def _random_polynomials(seed, count):
+    """Non-monic leads of either sign, double and triple roots, some with the
+    root-free factor x^2 + 1, some sparse (their Sturm chains skip degrees,
+    e.g. x^4 + x - 1); coefficients as Fractions, floats or ints."""
+    rng = random.Random(seed)
+    for i in range(count):
+        lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 5)))
+        if i % 4 == 3:
+            p = [lead] + [0] * rng.randint(3, 8)
+            for j in rng.sample(range(1, len(p)), 2):
+                p[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 3)))
+        else:
+            roots = []
+            for _ in range(rng.randint(1, 5)):
+                r = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 8)))
+                roots += [r] * rng.choice((1, 1, 2, 3))
+            p = _product(lead, roots)
+        if i % 5 == 0:
+            p = [a + b for a, b in zip(p + [0, 0], [0, 0] + p)]
+        if i % 3 == 1:
+            p = [float(c) for c in p]
+        elif i % 3 == 2:
+            scale = math.lcm(*(c.denominator for c in p))
+            p = [int(c * scale) for c in p]
+        yield p
+
+
+def _outcome(root_of, coeffs):
+    try:
+        return root_of(coeffs)
+    except InvalidParameterError:
+        return "no real root"
+
+
+def test_root_is_bit_identical_on_every_small_graph():
+    polys = set()
+    for n in range(1, 6):
+        for g in _labeled_graphs(n):
+            q = q_matrix(g)
+            coeffs = charpoly_coeffs(q)
+            assert coeffs == _ref_charpoly_coeffs(q)
+            assert all(type(c) is int for c in coeffs)
+            polys.add(tuple(coeffs))
+            polys.add(tuple(charpoly_coeffs(g.adjacency_matrix())))
+    for coeffs in polys:
+        assert smallest_real_root(coeffs) == _ref_smallest_real_root(coeffs)
+
+
+def test_root_is_bit_identical_on_random_graphs():
+    for g in _random_graphs(61, 300, 6, 10):
+        q = q_matrix(g)
+        coeffs, root = charpoly_oracle(q)
+        assert coeffs == _ref_charpoly_coeffs(q)
+        assert type(coeffs) is list and all(type(c) is int for c in coeffs)
+        assert root == _ref_smallest_real_root(coeffs)
+
+
+def test_root_is_bit_identical_on_random_polynomials():
+    # the reference is handed each float as its exact rational value: given
+    # a float lead it would divide a Fraction by a float and go on bisecting
+    # and evaluating the chain in floating point
+    outcomes = []
+    for p in _random_polynomials(67, 300):
+        outcome = _outcome(smallest_real_root, p)
+        exact = [Fraction(c) for c in p]
+        assert outcome == _outcome(_ref_smallest_real_root, exact), p
+        outcomes.append(outcome)
+    assert sum(isinstance(x, float) for x in outcomes) >= 250
+
+
+def test_nonzero_scaling_leaves_root_unchanged():
+    for g in _random_graphs(71, 40, 3, 9):
+        coeffs = charpoly_coeffs(q_matrix(g))
+        root = smallest_real_root(coeffs)
+        assert smallest_real_root([3 * c for c in coeffs]) == root
+        assert smallest_real_root([c / 2 for c in coeffs]) == root
+        assert smallest_real_root([Fraction(-c, 7) for c in coeffs]) == root
+
+
+@pytest.mark.parametrize("width", [float("nan"), 0, -1e-3, float("inf")])
+def test_width_must_be_finite_and_positive(width):
+    with pytest.raises(InvalidParameterError):
+        smallest_real_root([1, -3, 2], width=width)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(InvalidParameterError):
+        charpoly_coeffs(np.array([[bad]]))
+    with pytest.raises(InvalidParameterError):
+        charpoly_coeffs(np.array([[2.0, 1.0], [1.0, bad]]))
+    with pytest.raises(InvalidParameterError):
+        smallest_real_root([1, bad, 2])
+
+
+def test_inexact_square_free_division_raises():
+    assert _exact_div([2, -2, -4], [1, 1]) == [2, -4]
+    with pytest.raises(ArithmeticError):
+        _exact_div([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        _exact_div([1, 0, 1], [2, 1])
