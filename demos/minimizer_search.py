@@ -1,9 +1,11 @@
 """Exhaustive minimizer searches over small non-bipartite classes.
 
-For each order n and pendant count k, every labeled connected non-bipartite
-graph with exactly k pendant vertices is enumerated and its least
-Q-eigenvalue computed; the unique minimizing isomorphism class is always the
-triangle with a stem path ending in a broom of pendant edges.
+For each order n and pendant count k, every connected non-bipartite graph
+with exactly k pendant vertices is covered, one isomorphism class at a time
+(a core with the pendants placed on it), and its least Q-eigenvalue
+computed; "graphs examined" counts the labeled graphs those classes hold.
+The unique minimizing isomorphism class is always the triangle with a stem
+path ending in a broom of pendant edges.
 """
 
 from qminlab import ClassQuery, build_U_std, encode_graph6, find_extremal, is_isomorphic

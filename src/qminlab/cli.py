@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,8 +49,8 @@ class RunConfig:
             shards=getattr(args, "shards", 1),
             output=getattr(args, "output", None),
         )
-        if min(cfg.group_tol, cfg.tie_tol) <= 0:
-            raise QminlabError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (cfg.group_tol, cfg.tie_tol)):
+            raise QminlabError("tolerances must be finite and positive")
         if cfg.shards < 1:
             raise QminlabError("shards must be >= 1")
         return cfg
@@ -58,12 +60,15 @@ def _parse_int_list(text: str) -> list[int]:
     """Accept '3', '1..4', or '3,5,7' (and mixtures separated by commas)."""
     out = []
     for piece in text.split(","):
-        piece = piece.strip()
-        if ".." in piece:
-            lo, hi = piece.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(piece))
+        try:
+            ends = [int(end) for end in piece.split("..")]
+        except ValueError:
+            ends = []
+        if not 1 <= len(ends) <= 2:
+            raise QminlabError(
+                f"malformed integer list {text!r}: expected e.g. 3, 1..4 or 3,5,7"
+            )
+        out.extend(range(ends[0], ends[-1] + 1))
     return out
 
 
@@ -195,75 +200,71 @@ def cmd_verify(args) -> int:
     return EXIT_OK if confirmed else EXIT_REFUTED
 
 
-def _csv_writer(cfg: RunConfig):
-    if cfg.output:
-        fh = open(cfg.output, "w", newline="", encoding="utf-8")
-        return csv.writer(fh), fh
-    return csv.writer(sys.stdout), None
+def _scan_table(args) -> tuple[list, list, int]:
+    """The header, rows and exit code of a scan, all computed before any
+    output, so a refused scan writes nothing."""
+    if args.what == "alpha":
+        if args.n is None or args.k is None or args.g is None:
+            raise QminlabError("scan alpha needs --n, --k and --g")
+        grid = [_parse_int_list(text) for text in (args.n, args.k, args.g)]
+        rows = []
+        for n, k, g in itertools.product(*grid):
+            if g < 3 or g % 2 == 0 or k < 1 or n + k + 1 - g - 2 * k < 1:
+                print(
+                    f"warning: skipping infeasible (n={n}, k={k}, g={g})",
+                    file=sys.stderr,
+                )
+                continue
+            rows.append([n, k, g, f"{alpha(n, k, g):.12f}"])
+        return ["n", "k", "g", "alpha"], rows, EXIT_OK
+    if args.what == "bounds":
+        if args.n is None:
+            raise QminlabError("scan bounds needs --n")
+        bounds = compare_bounds(_parse_int_list(args.n))
+        if all(r.diff > 0 for r in bounds):
+            print(
+                "note: the minimum-degree (delta=1) bound is the smaller one "
+                "at every scanned order; the k-free pendant bound never wins.",
+                file=sys.stderr,
+            )
+        header = ["n", "bound_cor44_general", "bound_lima_delta1", "bound_submatrix_k1", "diff"]
+        rows = [
+            [
+                r.n,
+                f"{r.cor_pendant_general:.12f}",
+                f"{r.lima_delta1:.12f}",
+                f"{r.submatrix_k1:.12f}",
+                f"{r.diff:.12f}",
+            ]
+            for r in bounds
+        ]
+        return header, rows, EXIT_OK
+    if args.len is None or args.sum is None:
+        raise QminlabError("scan majorization needs --len and --sum")
+    scan = majorization_scan(args.len, args.sum)
+    rows = [
+        [
+            ",".join(str(x) for x in nu),
+            ",".join(str(x) for x in mu),
+            f"{qn:.12f}",
+            f"{qm:.12f}",
+            f"{slack:.12e}",
+        ]
+        for nu, mu, qn, qm, slack in scan.pairs
+    ]
+    header = ["nu", "mu", "qmin_nu", "qmin_mu", "slack"]
+    return header, rows, EXIT_OK if scan.report.passed else EXIT_REFUTED
 
 
 def cmd_scan(args) -> int:
     cfg = RunConfig.from_args(args)
-    writer, fh = _csv_writer(cfg)
-    try:
-        if args.what == "alpha":
-            if args.n is None or args.k is None or args.g is None:
-                raise QminlabError("scan alpha needs --n, --k and --g")
-            writer.writerow(["n", "k", "g", "alpha"])
-            for n in _parse_int_list(args.n):
-                for k in _parse_int_list(args.k):
-                    for g in _parse_int_list(args.g):
-                        if g < 3 or g % 2 == 0 or k < 1 or n + k + 1 - g - 2 * k < 1:
-                            print(
-                                f"warning: skipping infeasible (n={n}, k={k}, g={g})",
-                                file=sys.stderr,
-                            )
-                            continue
-                        writer.writerow([n, k, g, f"{alpha(n, k, g):.12f}"])
-        elif args.what == "bounds":
-            if args.n is None:
-                raise QminlabError("scan bounds needs --n")
-            writer.writerow(
-                ["n", "bound_cor44_general", "bound_lima_delta1", "bound_submatrix_k1", "diff"]
-            )
-            rows = compare_bounds(_parse_int_list(args.n))
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.n,
-                        f"{row.cor_pendant_general:.12f}",
-                        f"{row.lima_delta1:.12f}",
-                        f"{row.submatrix_k1:.12f}",
-                        f"{row.diff:.12f}",
-                    ]
-                )
-            if all(r.diff > 0 for r in rows):
-                print(
-                    "note: the minimum-degree (delta=1) bound is the smaller one "
-                    "at every scanned order; the k-free pendant bound never wins.",
-                    file=sys.stderr,
-                )
-        else:
-            if args.len is None or args.sum is None:
-                raise QminlabError("scan majorization needs --len and --sum")
-            writer.writerow(["nu", "mu", "qmin_nu", "qmin_mu", "slack"])
-            scan = majorization_scan(args.len, args.sum)
-            for nu, mu, qn, qm, slack in scan.pairs:
-                writer.writerow(
-                    [
-                        ",".join(str(x) for x in nu),
-                        ",".join(str(x) for x in mu),
-                        f"{qn:.12f}",
-                        f"{qm:.12f}",
-                        f"{slack:.12e}",
-                    ]
-                )
-            if not scan.report.passed:
-                return EXIT_REFUTED
-    finally:
-        if fh:
-            fh.close()
-    return EXIT_OK
+    header, rows, code = _scan_table(args)
+    if cfg.output:
+        with open(cfg.output, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+    else:
+        csv.writer(sys.stdout).writerows([header, *rows])
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

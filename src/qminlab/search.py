@@ -1,26 +1,40 @@
-"""Exhaustive searches over labeled graph classes at small order.
+"""Exhaustive searches over graph classes at small order.
 
 Classes are enumerated as edge subsets of the complete graph.  Edge b of
 K_n (column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b of
-the subset mask.  A class has C candidates, each with a rank: a general
-class's candidates are the 2^M masks in increasing order (rank = mask), a
-unicyclic class's are the C(M, n) n-edge subsets in lexicographic
-combination order.  Shard s of W visits the rank range [C*s/W, C*(s+1)/W),
-so no shard rescans another's, the unsharded visit order is the shards'
-orders concatenated, and merged shard results equal the unsharded ones bit
-for bit because ``qmin_stack`` gives each matrix the same least eigenvalue
-whatever batch it is solved in (a test re-proves this on a whole class).
-A class with more than CANDIDATE_CAP candidates is refused: general
-classes run through order 8 (2^28), unicyclic ones through order 9.
+the subset mask.  A class has C labeled candidates, each with a rank: a
+general class's candidates are the 2^M masks in increasing order (rank =
+mask), a unicyclic class's are the C(M, n) n-edge subsets in lexicographic
+combination order.  A class with more than CANDIDATE_CAP candidates is
+refused: general classes run through order 8 (2^28), unicyclic ones through
+order 9.
+
+A search takes one of two routes, chosen from the query alone:
+
+* Connected non-bipartite general classes with k >= 1 pendants are searched
+  by isomorphism class, as cores plus pendant placements (see
+  ``_representatives``): each class is eigensolved once through one
+  representative, and counts n!/|Aut| towards ``graphs_examined``.  Shard s
+  of W is the index range [R*s/W, R*(s+1)/W) of the R representatives in
+  their fixed order (cores by lowest mask, then placements).
+* Every other class (k = 0, unicyclic, or without the connectivity or
+  non-bipartiteness requirement) is scanned labeled graph by labeled graph.
+  Extremal values over labeled graphs and over isomorphism classes
+  coincide, so the scan needs no isomorphism rejection.  Shard s of W
+  visits the candidate ranks [C*s/W, C*(s+1)/W).  ``enumerate_class``
+  always visits the labeled members.
+
+On both routes no shard rescans another's, the unsharded order is the
+shards' orders concatenated, and merged shard results equal the unsharded
+ones bit for bit because ``qmin_stack`` gives each matrix the same least
+eigenvalue whatever batch it is solved in (a test re-proves this on a whole
+class).  Tied witnesses are reported one per isomorphism class, each
+relabelled to the lowest mask of its orbit, so both routes name a class by
+the same graph.
 
 Candidates travel in blocks: an (N,) int64 array of masks with an (N, n)
 uint16 array of neighbour masks, row v holding the bitmask of v's
 neighbours.  Every screen and exact test runs on a whole block at once.
-
-Labeled enumeration needs no isomorphism rejection: extremal values over
-labeled graphs and over isomorphism classes coincide, and only the small
-witness set is deduplicated up to isomorphism, by striking each new
-representative's relabellings from the rest.
 """
 
 from __future__ import annotations
@@ -173,10 +187,11 @@ def _cycle_len_rows(nbr: np.ndarray) -> np.ndarray:
 # -- candidate streams -------------------------------------------------------
 
 
-def _members(q: ClassQuery, masks: np.ndarray, nbr: np.ndarray):
+def _members(q: ClassQuery, masks: np.ndarray, nbr: np.ndarray, any_pendants: bool):
     """The rows of a candidate block that belong to the class: degree screens
-    (edge count, pendant count, no isolated vertex) first, then the exact
-    connectivity, odd-cycle and girth tests on the survivors."""
+    (edge count, pendant count unless ``any_pendants``, no isolated vertex)
+    first, then the exact connectivity, odd-cycle and girth tests on the
+    survivors."""
     n = q.n
     min_edges = 0
     if q.require_connected:
@@ -184,8 +199,9 @@ def _members(q: ClassQuery, masks: np.ndarray, nbr: np.ndarray):
     if q.require_nonbipartite:
         min_edges = max(min_edges, n if q.require_connected else 3)
     degs = _popcount()[nbr]
-    keep = (degs == 1).sum(axis=1) == q.k
-    keep &= degs.sum(axis=1) >= 2 * min_edges
+    keep = degs.sum(axis=1) >= 2 * min_edges
+    if not any_pendants:
+        keep &= (degs == 1).sum(axis=1) == q.k
     if q.require_connected and n > 1:
         keep &= degs.min(axis=1) >= 1
     masks, nbr = masks[keep], nbr[keep]
@@ -224,26 +240,41 @@ def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _class_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Yield (masks, nbr) blocks of the class members among candidate ranks
-    [C*s/W, C*(s+1)/W) of the class's C, for s = shard_index and
-    W = shard_count, in rank order."""
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
-        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
-    n = q.n
-    m_edges = n * (n - 1) // 2
-    unicyclic = q.unicyclic_girth is not None
-    total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
+def _candidate_count(q: ClassQuery) -> int:
+    """The number C of labeled candidates of the class, refused over the cap."""
+    m_edges = q.n * (q.n - 1) // 2
+    total = math.comb(m_edges, q.n) if q.unicyclic_girth is not None else 1 << m_edges
     if total > CANDIDATE_CAP:
         raise CapacityExceededError(
-            f"order {n} has 2^{math.log2(total):.1f} candidate edge subsets, "
+            f"order {q.n} has 2^{math.log2(total):.1f} candidate edge subsets, "
             f"over the cap of 2^{math.log2(CANDIDATE_CAP):.0f}"
         )
-    edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
+    return total
+
+
+def _shard_chunks(total: int, shard_index: int, shard_count: int):
+    """Yield (start, stop) blocks of at most _CHUNK covering positions
+    [total*s/W, total*(s+1)/W) of 0..total-1, for s = shard_index and
+    W = shard_count."""
+    if shard_count < 1 or not 0 <= shard_index < shard_count:
+        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
     lo = total * shard_index // shard_count
     hi = total * (shard_index + 1) // shard_count
     for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
+        yield start, min(start + _CHUNK, hi)
+
+
+def _class_stream(
+    q: ClassQuery, shard_index: int, shard_count: int, *, any_pendants: bool = False
+):
+    """Yield (masks, nbr, count) blocks of the labeled class members among
+    candidate ranks [C*s/W, C*(s+1)/W) of the class's C, in rank order;
+    count is the number of members in the block."""
+    n = q.n
+    m_edges = n * (n - 1) // 2
+    unicyclic = q.unicyclic_girth is not None
+    edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
+    for start, stop in _shard_chunks(_candidate_count(q), shard_index, shard_count):
         if unicyclic:
             # the name keeps this block's subsets alive while the next block
             # is unranked: freed sooner, their memory goes back to the OS and
@@ -252,7 +283,99 @@ def _class_stream(q: ClassQuery, shard_index: int, shard_count: int):
             masks = edge_bit[subsets].sum(axis=1)
         else:
             masks = np.arange(start, stop, dtype=np.int64)
-        yield _members(q, masks, _nbr_rows(n, masks))
+        kept, nbr = _members(q, masks, _nbr_rows(n, masks), any_pendants)
+        yield kept, nbr, kept.size
+
+
+@functools.cache
+def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The connected non-bipartite graphs of order m, one per isomorphism
+    class, in increasing order of the class's lowest mask: (that mask, its
+    automorphisms as rows of ``_permutations(m)``).
+
+    The labeled class is streamed in mask order, so the first member not
+    yet struck is the lowest of its class; its orbit is then struck from a
+    table indexed by mask.  Orders run to 7 under the cap, so the cache
+    holds at most five entries.
+    """
+    struck = np.zeros(1 << (m * (m - 1) // 2), dtype=bool)
+    cores = []
+    for masks, _, _ in _class_stream(ClassQuery(n=m, k=0), 0, 1, any_pendants=True):
+        while True:
+            masks = masks[~struck[masks]]
+            if not masks.size:
+                break
+            lowest = int(masks[0])
+            orbit = _orbit(m, lowest)
+            struck[orbit] = True
+            cores.append((lowest, _permutations(m)[orbit == lowest]))
+    return tuple(cores)
+
+
+@functools.cache
+def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One graph per isomorphism class of the connected non-bipartite graphs
+    of order n with exactly k >= 1 pendant vertices: (edge-subset masks,
+    the number of labeled graphs in each class), ordered by core, then by
+    placement.
+
+    Removing the pendants of such a graph G leaves its core H, connected,
+    non-bipartite and of order m = n - k, and G is H with a placement: a
+    vector of pendant counts over H's vertices that sums to k and is >= 1
+    on every leaf of H.  Every such pair is a class member, and two are
+    isomorphic exactly when their cores are and an automorphism of H
+    carries one placement to the other.  So each core of ``_cores(m)`` takes
+    the placements that are the lexicographic maximum of their images under
+    its automorphisms, in ``combinations_with_replacement`` order, and a
+    class has n! / (|Stab(placement)| * prod of m_v!) labelings.  The core
+    keeps labels 0..m-1; pendant m + t hangs from the t-th vertex of the
+    placement's multiset.
+    """
+    m = n - k
+    m_edges = n * (n - 1) // 2
+    spots = np.array(
+        list(itertools.combinations_with_replacement(range(m), k)), dtype=np.int64
+    )
+    placements = (spots[:, :, None] == np.arange(m)).sum(axis=1)
+    pendant_col = m + np.arange(k)
+    pendant_bits = (
+        1 << (m_edges - 1 - pendant_col * (pendant_col - 1) // 2 - spots)
+    ).sum(axis=1)
+    weight = (k + 1) ** np.arange(m - 1, -1, -1)
+    code = placements @ weight  # lexicographic order of the placements
+    fact = np.array([math.factorial(c) for c in range(k + 1)], dtype=np.int64)
+    relabelings = math.factorial(n) // fact[placements].prod(axis=1)
+    masks, counts = [], []
+    for core, auts in _cores(m):
+        leaves = _popcount()[_nbr_rows(m, np.array([core]))[0]] == 1
+        images = placements[:, auts] @ weight
+        keep = placements[:, leaves].all(axis=1) & (images.max(axis=1) == code)
+        stabilizer = (images == code[:, None]).sum(axis=1)
+        masks.append(core << (m_edges - m * (m - 1) // 2) | pendant_bits[keep])
+        counts.append(relabelings[keep] // stabilizer[keep])
+    return np.concatenate(masks), np.concatenate(counts)
+
+
+def _placement_stream(q: ClassQuery, shard_index: int, shard_count: int):
+    """Yield (masks, nbr, count) blocks of the class's representatives at
+    positions [R*s/W, R*(s+1)/W) of its R, in ``_representatives`` order;
+    count is the number of labeled graphs the block's classes hold.  A class
+    over the cap is refused, as on the labeled route."""
+    _candidate_count(q)
+    masks, counts = _representatives(q.n, q.k)
+    for start, stop in _shard_chunks(masks.size, shard_index, shard_count):
+        block = masks[start:stop]
+        yield block, _nbr_rows(q.n, block), int(counts[start:stop].sum())
+
+
+def _by_core(q: ClassQuery) -> bool:
+    """Whether the query's class is searched as cores plus placements."""
+    return (
+        q.k >= 1
+        and q.require_connected
+        and q.require_nonbipartite
+        and q.unicyclic_girth is None
+    )
 
 
 def enumerate_class(
@@ -268,10 +391,10 @@ def enumerate_class(
     the exact connectivity/bipartiteness/girth checks.  Returns the count.
     """
     count = 0
-    for masks, nbr in _class_stream(q, shard_index, shard_count):
+    for _, nbr, members in _class_stream(q, shard_index, shard_count):
         for row in nbr.tolist():
             visitor(Graph(q.n, tuple(row)))
-        count += masks.size
+        count += members
     return count
 
 
@@ -316,15 +439,16 @@ def _least_values(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     return masks, qmin_stack(qs)
 
 
-def _scan_shard(q: ClassQuery, tie_tol: float, shard_index: int, shard_count: int):
-    """Count one shard's members and keep, per objective, the (masks, values)
-    of every member within the tie window of the shard's best value."""
+def _scan_shard(n: int, tie_tol: float, blocks):
+    """Count the labeled graphs one shard's (masks, nbr, count) blocks stand
+    for and keep, per objective, the (masks, values) of every block row
+    within the tie window of the shard's best value."""
     ties = {obj: (np.zeros(0, dtype=np.int64), np.zeros(0)) for obj in ("min", "max")}
     count = 0
     pending: list = []
 
     def flush():
-        masks, values = _least_values(q.n, pending)
+        masks, values = _least_values(n, pending)
         pending.clear()
         for obj in ("min", "max"):
             kept_masks, kept_values = ties[obj]
@@ -337,8 +461,8 @@ def _scan_shard(q: ClassQuery, tie_tol: float, shard_index: int, shard_count: in
             ties[obj] = kept_masks, kept_values
 
     waiting = 0
-    for masks, nbr in _class_stream(q, shard_index, shard_count):
-        count += masks.size
+    for masks, nbr, examined in blocks:
+        count += examined
         pending.append((masks, nbr))
         waiting += masks.size
         if waiting >= _EIG_BATCH:
@@ -372,24 +496,27 @@ def _orbit(n: int, mask: int) -> np.ndarray:
 
 
 def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of the witness masks, in
-    order of first appearance (lowest mask).
+    """One graph per isomorphism class of the witness masks, each relabelled
+    to the lowest mask of its orbit, in increasing order of that mask.
 
-    Each new representative strikes its whole orbit from the rest: W is
-    isomorphic to R exactly when mask(W) is the mask of some relabelling of
-    R.  The work grows with the number of classes, not of tied graphs.
+    Each class strikes its whole orbit from the rest: W is isomorphic to R
+    exactly when mask(W) is the mask of some relabelling of R.  The work
+    grows with the number of classes, not of tied graphs.
     """
     rest = np.sort(masks)
-    reps = []
+    lowest = []
     while rest.size:
-        reps.append(Graph(n, tuple(_nbr_rows(n, rest[:1])[0].tolist())))
-        rest = rest[~np.isin(rest, _orbit(n, int(rest[0])))]
-    return tuple(reps)
+        orbit = _orbit(n, int(rest[0]))
+        lowest.append(orbit.min())
+        rest = rest[~np.isin(rest, orbit)]
+    rows = _nbr_rows(n, np.sort(np.array(lowest, dtype=np.int64)))
+    return tuple(Graph(n, tuple(row)) for row in rows.tolist())
 
 
-@functools.lru_cache(maxsize=32)
-def _run_scan(q: ClassQuery, tie_tol: float, shards: int) -> dict[str, SearchResult]:
-    partials = [_scan_shard(q, tie_tol, s, shards) for s in range(shards)]
+def _results(n: int, tie_tol: float, shards) -> dict[str, SearchResult]:
+    """Merge the scans of some shards' block streams into one result per
+    objective."""
+    partials = [_scan_shard(n, tie_tol, blocks) for blocks in shards]
     count = sum(c for c, _ in partials)
     scan = {}
     for obj in ("min", "max"):
@@ -402,8 +529,14 @@ def _run_scan(q: ClassQuery, tie_tol: float, shards: int) -> dict[str, SearchRes
             np.concatenate([ties[obj][0] for _, ties in partials]),
             np.concatenate([ties[obj][1] for _, ties in partials]),
         )
-        scan[obj] = SearchResult(obj, best, _dedup_witnesses(q.n, masks), count)
+        scan[obj] = SearchResult(obj, best, _dedup_witnesses(n, masks), count)
     return scan
+
+
+@functools.lru_cache(maxsize=32)
+def _run_scan(q: ClassQuery, tie_tol: float, shards: int) -> dict[str, SearchResult]:
+    stream = _placement_stream if _by_core(q) else _class_stream
+    return _results(q.n, tie_tol, [stream(q, s, shards) for s in range(shards)])
 
 
 def find_extremal(
@@ -414,14 +547,16 @@ def find_extremal(
     shards: int = 1,
 ) -> SearchResult:
     """Stream the class, track the extremal least eigenvalue, and return all
-    witnesses within the tie tolerance, deduplicated up to isomorphism.
+    witnesses within the tie tolerance, one per isomorphism class.
 
-    ``tie_tol`` is relative: the kept window is tie_tol * (1 + |optimum|).
-    Results are cached per query, so asking for the other objective later
-    reuses the same sweep.
+    ``tie_tol`` is relative: the kept window is tie_tol * (1 + |optimum|),
+    and it must be finite and positive.  Results are cached per query, so
+    asking for the other objective later reuses the same sweep.
     """
     if objective not in ("min", "max"):
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
+    if not 0 < tie_tol < math.inf:
+        raise InvalidParameterError(f"tie_tol must be finite and positive, got {tie_tol}")
     if shards < 1:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
     return _run_scan(q, tie_tol, shards)[objective]

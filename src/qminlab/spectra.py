@@ -10,6 +10,7 @@ not depend on how it batches its candidates or splits them into shards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ def q_min_of(
     """Least Q-eigenvalue of ``g`` with a canonical eigenvector.
 
     Returns (value, vector, multiplicity).  Multiplicity counts eigenvalues
-    within ``group_tol`` (default 1e-8 * (1 + |value|)) of the least one.
+    within ``group_tol`` (default 1e-8 * (1 + |value|); finite and positive
+    if given) of the least one.
     The vector is unit length and sign-normalized: its largest-magnitude
     entry is positive, ties (magnitudes within 1e-8 * max|x| of the largest)
     broken by lowest vertex index.
@@ -93,6 +95,8 @@ def _least_pair(values, vectors, group_tol=None):
     value = float(values[0])
     if group_tol is None:
         group_tol = DEFAULT_GROUP_TOL * (1.0 + abs(value))
+    elif not 0 < group_tol < math.inf:
+        raise InvalidParameterError(f"group_tol must be finite and positive, got {group_tol}")
     multiplicity = int(np.sum(values <= value + group_tol))
     if vectors is None:
         return value, None, multiplicity

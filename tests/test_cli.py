@@ -3,6 +3,8 @@
 import csv
 import io
 
+import pytest
+
 from qminlab import PendantProfile, build_K, encode_graph6, format_edge_list
 from qminlab.cli import main
 
@@ -166,6 +168,42 @@ def test_bad_tolerances(capsys):
     code, _, err = run(capsys, "spectrum", "Bw", "--group-tol", "-1")
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "min", "--n", "5", "--k", "1", "--tie-tol"), ("spectrum", "Bw", "--group-tol")],
+)
+def test_non_finite_tolerances(capsys, argv, value):
+    code, out, err = run(capsys, *argv, value)
+    assert code == 2 and out == ""
+    assert "finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "alpha", "--n", "x", "--k", "1", "--g", "3"),
+        ("scan", "alpha", "--n", "5..6..7", "--k", "1", "--g", "3"),
+        ("scan", "bounds", "--n", "4,"),
+        ("family", "K", "--profile", "2,x"),
+    ],
+)
+def test_malformed_integer_lists(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "malformed integer list" in err
+
+
+def test_refused_scan_writes_nothing(capsys, tmp_path):
+    code, out, err = run(capsys, "scan", "bounds", "--n", "1..3")
+    assert code == 2 and out == "" and "error" in err
+    code, out, err = run(capsys, "scan", "majorization", "--len", "2", "--sum", "3")
+    assert code == 2 and out == "" and "error" in err
+    target = tmp_path / "bounds.csv"
+    assert run(capsys, "scan", "bounds", "--n", "1..3", "-o", str(target))[0] == 2
+    assert not target.exists()
 
 
 def test_flags_only_on_commands_that_read_them(capsys):

@@ -280,8 +280,57 @@ def test_capacity_caps():
     # 2^36 and C(45, 10) candidates are over the cap of 2^28
     with pytest.raises(CapacityExceededError):
         enumerate_class(ClassQuery(n=9, k=1), lambda g: None)
+    with pytest.raises(CapacityExceededError):  # searched by core, refused all the same
+        find_extremal(ClassQuery(n=9, k=2), "min")
     with pytest.raises(CapacityExceededError):
         enumerate_class(ClassQuery(n=10, k=1, unicyclic_girth=3), lambda g: None)
+
+
+# -- cores plus pendant placements ------------------------------------------------
+
+
+def test_core_class_counts():
+    # connected graphs (OEIS A001349) minus connected bipartite ones (A005142)
+    connected = [2, 6, 21, 112, 853]
+    bipartite = [1, 3, 5, 17, 44]
+    counts = [len(search._cores(m)) for m in range(3, 8)]
+    assert counts == [c - b for c, b in zip(connected, bipartite)] == [1, 3, 16, 95, 809]
+    for m in range(3, 7):
+        for core, auts in search._cores(m):
+            orbit = search._orbit(m, core)
+            assert core == orbit.min()
+            assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_core_route_matches_labeled_scan(n):
+    for k in range(1, n - 2):
+        q = ClassQuery(n=n, k=k)
+        assert search._by_core(q)
+        # the labeled route: every labeled member eigensolved
+        labeled = search._results(n, search.DEFAULT_TIE_TOL, [search._class_stream(q, 0, 1)])
+        for shards in (1, 3, 4):
+            for objective in ("min", "max"):
+                want = labeled[objective]
+                got = find_extremal(q, objective, shards=shards)
+                assert got.graphs_examined == want.graphs_examined, (k, shards)
+                assert [encode_graph6(w) for w in got.witnesses] == [
+                    encode_graph6(w) for w in want.witnesses
+                ], (k, shards, objective)
+                # the labeled value is a minimum over float noise across
+                # the n!/|Aut| labelings of the extremal class
+                tol = 1e-13 * (1 + abs(want.extremal_value))
+                assert abs(got.extremal_value - want.extremal_value) <= tol
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_extremal_graphs_at_order_eight(k):
+    low = find_extremal(ClassQuery(n=8, k=k), "min")
+    minimizer, _ = build_U_std(8, k, 3)
+    assert len(low.witnesses) == 1 and is_isomorphic(low.witnesses[0], minimizer)
+    high = find_extremal(ClassQuery(n=8, k=k), "max")
+    maximizer, _ = build_K(balanced_profile(8, k))
+    assert any(is_isomorphic(w, maximizer) for w in high.witnesses)
 
 
 # -- extremal searches -----------------------------------------------------------
@@ -335,7 +384,9 @@ def _pairwise_dedup(n, masks):
     "query", [ClassQuery(n=7, k=2), ClassQuery(n=8, k=1, unicyclic_girth=3)]
 )
 def test_orbit_dedup_matches_pairwise_isomorphism(query):
-    _, ties = search._scan_shard(query, search.DEFAULT_TIE_TOL, 0, 1)
+    # the labeled tie set, which holds every labeling of each tied class
+    blocks = search._class_stream(query, 0, 1)
+    _, ties = search._scan_shard(query.n, search.DEFAULT_TIE_TOL, blocks)
     for objective in ("min", "max"):
         _, masks, _ = search._keep_ties(objective, search.DEFAULT_TIE_TOL, *ties[objective])
         reps = search._dedup_witnesses(query.n, masks)
@@ -366,6 +417,12 @@ def test_objective_validation():
         find_extremal(ClassQuery(n=5, k=1), "best")
     with pytest.raises(InvalidParameterError):
         find_extremal(ClassQuery(n=5, k=1), "min", shards=0)
+
+
+@pytest.mark.parametrize("tie_tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_tie_tol_must_be_finite_and_positive(tie_tol):
+    with pytest.raises(InvalidParameterError):
+        find_extremal(ClassQuery(n=5, k=1), "min", tie_tol)
 
 
 # -- alpha ------------------------------------------------------------------------

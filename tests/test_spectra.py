@@ -26,6 +26,7 @@ from qminlab import (
 )
 from qminlab.charpoly import charpoly_oracle
 from qminlab.search import ClassQuery, enumerate_class
+from qminlab.spectra import _least_pair
 
 SQRT5 = math.sqrt(5)
 SQRT17 = math.sqrt(17)
@@ -99,6 +100,15 @@ def test_eig_rejects_bad_input():
         eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(InvalidParameterError):
         eig_sym(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_group_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(InvalidParameterError):
+        q_min_of(cycle_graph(3), group_tol=tol)
+    spec = eig_sym(q_matrix(cycle_graph(3)))
+    with pytest.raises(InvalidParameterError):
+        _least_pair(spec.eigenvalues, None, tol)
 
 
 def test_eig_deterministic():
