@@ -5,7 +5,8 @@ with exactly k pendant vertices is covered, one isomorphism class at a time
 (a core with the pendants placed on it), and its least Q-eigenvalue
 computed; "graphs examined" counts the labeled graphs those classes hold.
 The unique minimizing isomorphism class is always the triangle with a stem
-path ending in a broom of pendant edges.
+path ending in a broom of pendant edges.  The unicyclic restriction is
+covered the same way, from unicyclic cores with the same cycle.
 """
 
 from qminlab import ClassQuery, build_U_std, encode_graph6, find_extremal, is_isomorphic

@@ -11,13 +11,15 @@ order 9.
 
 A search takes one of two routes, chosen from the query alone:
 
-* Connected non-bipartite general classes with k >= 1 pendants are searched
-  by isomorphism class, as cores plus pendant placements (see
-  ``_representatives``): each class is eigensolved once through one
-  representative, and counts n!/|Aut| towards ``graphs_examined``.  Shard s
-  of W is the index range [R*s/W, R*(s+1)/W) of the R representatives in
-  their fixed order (cores by lowest mask, then placements).
-* Every other class (k = 0, unicyclic, or without the connectivity or
+* Connected non-bipartite classes with k >= 1 pendants, general or
+  unicyclic, are searched by isomorphism class, as cores plus pendant
+  placements (see ``_representatives``): each class is eigensolved once
+  through one representative, and counts n!/|Aut| towards
+  ``graphs_examined``.  The cores of order n - k come from the labeled
+  candidates at that order only, one per isomorphism class.  Shard s of W
+  is the index range [R*s/W, R*(s+1)/W) of the R representatives in their
+  fixed order (cores by lowest mask, then placements).
+* Every other class (k = 0, or without the connectivity or
   non-bipartiteness requirement) is scanned labeled graph by labeled graph.
   Extremal values over labeled graphs and over isomorphism classes
   coincide, so the scan needs no isomorphism rejection.  Shard s of W
@@ -240,13 +242,31 @@ def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _candidate_count(q: ClassQuery) -> int:
-    """The number C of labeled candidates of the class, refused over the cap."""
-    m_edges = q.n * (q.n - 1) // 2
-    total = math.comb(m_edges, q.n) if q.unicyclic_girth is not None else 1 << m_edges
+def _rank(m: int, k: int, masks: np.ndarray) -> np.ndarray:
+    """The inverse of ``_unrank``: the lexicographic ranks of the k-edge
+    subsets with these masks among the k-subsets of 0..m-1.
+
+    Lexicographic order of equal-size subsets is decreasing mask order, so
+    the rank is C(m, k) - 1 less the number of smaller masks, which is the
+    sum of C(p, j) over the set bits p of a mask, the j-th lowest first.
+    """
+    binom = np.array([[math.comb(p, j) for j in range(k + 1)] for p in range(m)])
+    below = np.zeros(masks.size, dtype=np.int64)
+    seen = np.zeros(masks.size, dtype=np.int64)
+    for p in range(m):
+        bit = (masks >> p) & 1
+        seen += bit
+        below += bit * binom[p, seen]
+    return math.comb(m, k) - 1 - below
+
+
+def _candidate_count(n: int, unicyclic: bool) -> int:
+    """The number C of labeled candidates at order n, refused over the cap."""
+    m_edges = n * (n - 1) // 2
+    total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
     if total > CANDIDATE_CAP:
         raise CapacityExceededError(
-            f"order {q.n} has 2^{math.log2(total):.1f} candidate edge subsets, "
+            f"order {n} has 2^{math.log2(total):.1f} candidate edge subsets, "
             f"over the cap of 2^{math.log2(CANDIDATE_CAP):.0f}"
         )
     return total
@@ -264,71 +284,102 @@ def _shard_chunks(total: int, shard_index: int, shard_count: int):
         yield start, min(start + _CHUNK, hi)
 
 
-def _class_stream(
-    q: ClassQuery, shard_index: int, shard_count: int, *, any_pendants: bool = False
-):
-    """Yield (masks, nbr, count) blocks of the labeled class members among
-    candidate ranks [C*s/W, C*(s+1)/W) of the class's C, in rank order;
-    count is the number of members in the block."""
-    n = q.n
+def _candidates(n: int, unicyclic: bool, shard_index: int, shard_count: int):
+    """Yield the masks of candidate ranks [C*s/W, C*(s+1)/W) of the C at
+    order n, in rank order, in blocks."""
     m_edges = n * (n - 1) // 2
-    unicyclic = q.unicyclic_girth is not None
     edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
-    for start, stop in _shard_chunks(_candidate_count(q), shard_index, shard_count):
+    total = _candidate_count(n, unicyclic)
+    for start, stop in _shard_chunks(total, shard_index, shard_count):
         if unicyclic:
             # the name keeps this block's subsets alive while the next block
             # is unranked: freed sooner, their memory goes back to the OS and
             # every block faults it in again (7x the minor faults at n=8)
             subsets = _unrank(m_edges, n, start, stop)
-            masks = edge_bit[subsets].sum(axis=1)
+            yield edge_bit[subsets].sum(axis=1)
         else:
-            masks = np.arange(start, stop, dtype=np.int64)
-        kept, nbr = _members(q, masks, _nbr_rows(n, masks), any_pendants)
+            yield np.arange(start, stop, dtype=np.int64)
+
+
+def _class_stream(q: ClassQuery, shard_index: int, shard_count: int):
+    """Yield (masks, nbr, count) blocks of the labeled class members among
+    candidate ranks [C*s/W, C*(s+1)/W) of the class's C, in rank order;
+    count is the number of members in the block."""
+    unicyclic = q.unicyclic_girth is not None
+    for masks in _candidates(q.n, unicyclic, shard_index, shard_count):
+        kept, nbr = _members(q, masks, _nbr_rows(q.n, masks), any_pendants=False)
         yield kept, nbr, kept.size
 
 
 @functools.cache
-def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The connected non-bipartite graphs of order m, one per isomorphism
-    class, in increasing order of the class's lowest mask: (that mask, its
-    automorphisms as rows of ``_permutations(m)``).
+def _core_classes(m: int, unicyclic: bool) -> tuple[tuple[int, np.ndarray], ...]:
+    """The connected graphs of order m, one per isomorphism class: the
+    unicyclic ones of every cycle length if ``unicyclic``, else the
+    non-bipartite ones.  In increasing order of the class's lowest mask:
+    (that mask, its automorphisms as rows of ``_permutations(m)``).
 
-    The labeled class is streamed in mask order, so the first member not
-    yet struck is the lowest of its class; its orbit is then struck from a
-    table indexed by mask.  Orders run to 7 under the cap, so the cache
-    holds at most five entries.
+    The labeled candidates are streamed once with the pendant screen
+    skipped.  The first member not yet struck starts a class, and its orbit
+    is struck from a table indexed by candidate rank: 2^C(m,2) bools for
+    general candidates (rank = mask), C(C(m,2), m) for unicyclic ones
+    (3.1 MB at m = 8).  Unicyclic candidates run in decreasing mask order,
+    so a class is named by its orbit minimum rather than its first member,
+    and its automorphisms are the rows that fix that minimum.
     """
-    struck = np.zeros(1 << (m * (m - 1) // 2), dtype=bool)
+    m_edges = m * (m - 1) // 2
+    query = ClassQuery(n=m, k=0, require_nonbipartite=not unicyclic)
+    struck = np.zeros(_candidate_count(m, unicyclic), dtype=bool)
     cores = []
-    for masks, _, _ in _class_stream(ClassQuery(n=m, k=0), 0, 1, any_pendants=True):
+    for masks in _candidates(m, unicyclic, 0, 1):
+        masks, _ = _members(query, masks, _nbr_rows(m, masks), any_pendants=True)
+        ranks = _rank(m_edges, m, masks) if unicyclic else masks
         while True:
-            masks = masks[~struck[masks]]
+            fresh = ~struck[ranks]
+            masks, ranks = masks[fresh], ranks[fresh]
             if not masks.size:
                 break
-            lowest = int(masks[0])
-            orbit = _orbit(m, lowest)
-            struck[orbit] = True
+            orbit = _orbit(m, int(masks[0]))
+            struck[_rank(m_edges, m, orbit) if unicyclic else orbit] = True
+            lowest = int(orbit.min())
+            if lowest != masks[0]:
+                orbit = _orbit(m, lowest)
             cores.append((lowest, _permutations(m)[orbit == lowest]))
-    return tuple(cores)
+    return tuple(sorted(cores, key=lambda core: core[0]))
+
+
+def _cores(m: int, girth: Optional[int] = None) -> tuple[tuple[int, np.ndarray], ...]:
+    """The cores of order m, as (lowest mask, automorphisms) in increasing
+    order of that mask: the connected non-bipartite graphs when ``girth`` is
+    None, else the connected unicyclic graphs whose cycle has length
+    ``girth``.  Every girth at one order is filed by ``_cycle_len_rows``
+    from the same cached pass over the order's m-edge candidates."""
+    if girth is None:
+        return _core_classes(m, False)
+    cores = _core_classes(m, True)
+    lengths = _cycle_len_rows(_nbr_rows(m, np.array([mask for mask, _ in cores])))
+    return tuple(core for core, length in zip(cores, lengths.tolist()) if length == girth)
 
 
 @functools.cache
-def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _representatives(n: int, k: int, girth: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
     """One graph per isomorphism class of the connected non-bipartite graphs
-    of order n with exactly k >= 1 pendant vertices: (edge-subset masks,
-    the number of labeled graphs in each class), ordered by core, then by
-    placement.
+    of order n with exactly k >= 1 pendant vertices, unicyclic of cycle
+    length ``girth`` unless it is None: (edge-subset masks, the number of
+    labeled graphs in each class), ordered by core, then by placement.  The
+    class is empty when girth > n - k.
 
-    Removing the pendants of such a graph G leaves its core H, connected,
-    non-bipartite and of order m = n - k, and G is H with a placement: a
-    vector of pendant counts over H's vertices that sums to k and is >= 1
-    on every leaf of H.  Every such pair is a class member, and two are
-    isomorphic exactly when their cores are and an automorphism of H
-    carries one placement to the other.  So each core of ``_cores(m)`` takes
-    the placements that are the lexicographic maximum of their images under
-    its automorphisms, in ``combinations_with_replacement`` order, and a
-    class has n! / (|Stab(placement)| * prod of m_v!) labelings.  The core
-    keeps labels 0..m-1; pendant m + t hangs from the t-th vertex of the
+    Removing the pendants of such a graph G leaves its core H of order
+    m = n - k, connected, non-bipartite and (for a girth) unicyclic with the
+    same cycle, and G is H with a placement: a vector of pendant counts over
+    H's vertices that sums to k and is >= 1 on every leaf of H, so that no
+    core vertex becomes a pendant.  Every such pair is a class member, and
+    two are isomorphic exactly when their cores are and an automorphism of
+    H carries one placement to the other.  So each core of
+    ``_cores(m, girth)`` takes the placements that are the lexicographic
+    maximum of their images under its automorphisms, in
+    ``combinations_with_replacement`` order, and a class has
+    n! / (|Stab(placement)| * prod of m_v!) labelings.  The core keeps
+    labels 0..m-1; pendant m + t hangs from the t-th vertex of the
     placement's multiset.
     """
     m = n - k
@@ -345,8 +396,9 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     code = placements @ weight  # lexicographic order of the placements
     fact = np.array([math.factorial(c) for c in range(k + 1)], dtype=np.int64)
     relabelings = math.factorial(n) // fact[placements].prod(axis=1)
-    masks, counts = [], []
-    for core, auts in _cores(m):
+    masks = [np.zeros(0, dtype=np.int64)]
+    counts = [np.zeros(0, dtype=np.int64)]
+    for core, auts in _cores(m, girth):
         leaves = _popcount()[_nbr_rows(m, np.array([core]))[0]] == 1
         images = placements[:, auts] @ weight
         keep = placements[:, leaves].all(axis=1) & (images.max(axis=1) == code)
@@ -361,8 +413,8 @@ def _placement_stream(q: ClassQuery, shard_index: int, shard_count: int):
     positions [R*s/W, R*(s+1)/W) of its R, in ``_representatives`` order;
     count is the number of labeled graphs the block's classes hold.  A class
     over the cap is refused, as on the labeled route."""
-    _candidate_count(q)
-    masks, counts = _representatives(q.n, q.k)
+    _candidate_count(q.n, q.unicyclic_girth is not None)
+    masks, counts = _representatives(q.n, q.k, q.unicyclic_girth)
     for start, stop in _shard_chunks(masks.size, shard_index, shard_count):
         block = masks[start:stop]
         yield block, _nbr_rows(q.n, block), int(counts[start:stop].sum())
@@ -370,12 +422,7 @@ def _placement_stream(q: ClassQuery, shard_index: int, shard_count: int):
 
 def _by_core(q: ClassQuery) -> bool:
     """Whether the query's class is searched as cores plus placements."""
-    return (
-        q.k >= 1
-        and q.require_connected
-        and q.require_nonbipartite
-        and q.unicyclic_girth is None
-    )
+    return q.k >= 1 and q.require_connected and q.require_nonbipartite
 
 
 def enumerate_class(

@@ -276,6 +276,18 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
     assert seen == expected and expected
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_rank_inverts_unrank(n):
+    m = n * (n - 1) // 2
+    total = math.comb(m, n)
+    lo = 0 if total <= 1 << 17 else total // 3  # a window at order 9
+    hi = min(total, lo + (1 << 17))
+    edge_bit = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    masks = edge_bit[search._unrank(m, n, lo, hi)].sum(axis=1)
+    assert (search._rank(m, n, masks) == np.arange(lo, hi)).all()
+    assert (np.diff(masks) < 0).all()  # lexicographic order is decreasing mask order
+
+
 def test_capacity_caps():
     # 2^36 and C(45, 10) candidates are over the cap of 2^28
     with pytest.raises(CapacityExceededError):
@@ -302,25 +314,116 @@ def test_core_class_counts():
             assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
 
 
+def _check_core_route_against_labeled_scan(q, shard_counts):
+    assert search._by_core(q)
+    # the labeled route: every labeled member eigensolved
+    labeled = search._results(q.n, search.DEFAULT_TIE_TOL, [search._class_stream(q, 0, 1)])
+    for shards in shard_counts:
+        for objective in ("min", "max"):
+            want = labeled[objective]
+            got = find_extremal(q, objective, shards=shards)
+            assert got.graphs_examined == want.graphs_examined, (q, shards)
+            assert [encode_graph6(w) for w in got.witnesses] == [
+                encode_graph6(w) for w in want.witnesses
+            ], (q, shards, objective)
+            if want.graphs_examined == 0:
+                assert math.isnan(got.extremal_value)
+                continue
+            # the labeled value is a minimum over float noise across
+            # the n!/|Aut| labelings of the extremal class
+            tol = 1e-13 * (1 + abs(want.extremal_value))
+            assert abs(got.extremal_value - want.extremal_value) <= tol
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_core_route_matches_labeled_scan(n):
     for k in range(1, n - 2):
-        q = ClassQuery(n=n, k=k)
-        assert search._by_core(q)
-        # the labeled route: every labeled member eigensolved
-        labeled = search._results(n, search.DEFAULT_TIE_TOL, [search._class_stream(q, 0, 1)])
-        for shards in (1, 3, 4):
-            for objective in ("min", "max"):
-                want = labeled[objective]
-                got = find_extremal(q, objective, shards=shards)
-                assert got.graphs_examined == want.graphs_examined, (k, shards)
-                assert [encode_graph6(w) for w in got.witnesses] == [
-                    encode_graph6(w) for w in want.witnesses
-                ], (k, shards, objective)
-                # the labeled value is a minimum over float noise across
-                # the n!/|Aut| labelings of the extremal class
-                tol = 1e-13 * (1 + abs(want.extremal_value))
-                assert abs(got.extremal_value - want.extremal_value) <= tol
+        _check_core_route_against_labeled_scan(ClassQuery(n=n, k=k), (1, 3, 4))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_unicyclic_core_route_matches_labeled_scan(n):
+    # n = 3 has no unicyclic class with a pendant; girths above n - k give
+    # empty classes, which both routes must report as empty
+    for g in (3, 5, 7):
+        for k in range(1, n - 2):
+            if g <= n:
+                q = ClassQuery(n=n, k=k, unicyclic_girth=g)
+                _check_core_route_against_labeled_scan(q, (1, 3, 4))
+
+
+@pytest.mark.parametrize("g", [3, 5])
+def test_unicyclic_core_route_matches_labeled_scan_at_order_eight(g):
+    q = ClassQuery(n=8, k=1, unicyclic_girth=g)
+    _check_core_route_against_labeled_scan(q, (1,))
+
+
+def test_unicyclic_core_route_unranks_only_at_core_order(monkeypatch):
+    orders = []
+    unrank = search._unrank
+
+    def spy(m, k, lo, hi):
+        orders.append(k)
+        return unrank(m, k, lo, hi)
+
+    monkeypatch.setattr(search, "_unrank", spy)
+    for cache in (search._core_classes, search._representatives, search._run_scan):
+        cache.cache_clear()
+    res = find_extremal(ClassQuery(n=7, k=2, unicyclic_girth=3), "min", shards=3)
+    assert res.graphs_examined > 0
+    assert orders and set(orders) == {5}
+
+
+def _labeled_unicyclic(m, g):
+    pairs = list(itertools.combinations(range(m), 2))
+    for edges in itertools.combinations(pairs, m):
+        graph = Graph.from_edges(m, edges)
+        if is_connected(graph) and girth(graph) == g:
+            yield graph
+
+
+def test_unicyclic_core_class_counts():
+    # connected unicyclic graphs over every cycle length (OEIS A001429)
+    counts = [len(search._core_classes(m, True)) for m in range(3, 8)]
+    assert counts == [1, 2, 5, 13, 33]
+    for m in range(3, 7):
+        for g in (3, 5, 7):
+            cores = search._cores(m, g)
+            expected = _pairwise_dedup_graphs(_labeled_unicyclic(m, g))
+            assert len(cores) == len(expected), (m, g)
+            for core, auts in cores:
+                graph = _graph_of_mask(m, core)
+                assert girth(graph) == g and is_connected(graph) and graph.edge_count == m
+                orbit = search._orbit(m, core)
+                assert core == orbit.min()
+                assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
+                edges = set(graph.edges())
+                for perm in auts.tolist():  # each one fixes the core itself
+                    assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+
+
+def test_unicyclic_search_at_order_nine_in_bounded_memory():
+    # the core strike table is indexed by candidate rank: C(28, 8) bools,
+    # where a table indexed by mask would hold 2^28
+    for cache in (
+        search._half_tables,
+        search._rank_offsets,
+        search._core_classes,
+        search._representatives,
+        search._run_scan,
+        search._permutations,
+    ):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        res = find_extremal(ClassQuery(n=9, k=1, unicyclic_girth=3), "min")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert res.graphs_examined == math.factorial(9) // 2  # a tadpole: |Aut| = 2
+    assert len(res.witnesses) == 1
+    assert is_isomorphic(res.witnesses[0], build_U_std(9, 1, 3)[0])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -370,14 +473,17 @@ def test_sharded_results_bit_identical():
         ]
 
 
-def _pairwise_dedup(n, masks):
-    """Reference: keep a witness unless it is isomorphic to a kept one."""
+def _pairwise_dedup_graphs(graphs):
+    """Reference: keep a graph unless it is isomorphic to a kept one."""
     reps = []
-    for mask in sorted(masks):
-        g = _graph_of_mask(n, mask)
+    for g in graphs:
         if not any(is_isomorphic(g, r) for r in reps):
             reps.append(g)
     return reps
+
+
+def _pairwise_dedup(n, masks):
+    return _pairwise_dedup_graphs(_graph_of_mask(n, mask) for mask in sorted(masks))
 
 
 @pytest.mark.parametrize(
