@@ -3,19 +3,44 @@
 This is the independent cross-check for the LAPACK eigensolver: integer
 matrices get exact integer coefficients of det(lambda I - M) through the
 Faddeev-LeVerrier recurrence, and the smallest real root is bisected to
-1e-12 width using Sturm-chain sign-change counts (a bare sign-change test
-would skip even-multiplicity roots, e.g. the doubled smallest eigenvalue of
-a triangle's Q-matrix).
+1e-12 width from the Cauchy bound.  Each step asks whether (lo, mid] holds a
+root and keeps the lower half if it does.  Every answer is exact, so the
+bisection points, and the float returned, depend on the polynomial alone.
 
 All arithmetic is on Python integers.  Rational or float coefficients are
-first scaled to integers by a positive factor; the square-free part and the
-Sturm chain come from integer pseudo-remainders scaled by |lc|^(delta+1),
-and each chain member is divided by its positive content.  Every member is
-therefore a positive multiple of the member the rational construction would
-give, and a positive multiple has the same sign at every point, so the
-sign-change counts are unchanged.  A bisection point a/b (b > 0) is
-evaluated by homogeneous Horner, which yields the integer p(a/b) * b^deg:
-it has the sign of p(a/b), so no rational number is ever formed.
+first scaled to integers by a positive factor; the Sturm chain comes from
+integer pseudo-remainders scaled by |lc|^(delta+1), and each chain member is
+divided by its positive content.  Every member is therefore a positive
+multiple of the member the rational construction would give, and a positive
+multiple has the same sign at every point, so the sign-change counts are
+unchanged.  A point a/b (b > 0) is evaluated by homogeneous Horner, which
+yields the integer p(a/b) * b^deg: it has the sign of p(a/b), so no rational
+number is ever formed.
+
+Sturm counts.  The chain p, p', ... of p itself ends in g = gcd(p, p') up to
+sign, and p / g is the square-free part s.  Where g(x) != 0 every member is
+g(x) times the member of a generalised Sturm sequence of s, so the sign
+changes V count distinct roots: (x, y] holds V(x) - V(y) of them.  (A bare
+sign test would skip even-multiplicity roots, e.g. the doubled smallest
+eigenvalue of a triangle's Q-matrix.)  At a multiple root m every member
+vanishes and V(m) reads 0, so V(lo) - V(m) reads at least the true count,
+which is at least 1 as m is a root.  lo is never a root: it starts below
+every root and moves only past intervals found root-free.  So the step's
+test V(lo) - V(mid) >= 1 answers as it must even when mid is a multiple
+root.
+
+Certified bracket.  np.roots of the float square-free part (a companion
+matrix of the polynomial, never the matrix being checked) estimates the
+smallest root x.  L = x - delta and H = x + delta, delta = 1e-9 * (1 + |x|),
+are floats and so exact dyadic rationals.  Two chain counts from the Cauchy
+bound certify that no root is <= L and exactly one distinct root r is <= H;
+by the reading above a multiple root at L or H cannot certify falsely.  Then
+L < r <= H, and every step follows without the chain: a midpoint >= H has r
+in (lo, mid], one <= L has no root there, and one strictly between has r <=
+mid exactly when s, whose only root in (L, H] is the simple root r, vanishes
+there or has the sign opposite to s(L).  Each answer is the one the chain
+would give, so the bracket cannot change the result.  Without a finite
+estimate, or when a certificate fails, every step asks the chain.
 """
 
 from __future__ import annotations
@@ -42,7 +67,12 @@ def _ratio(x) -> tuple[int, int]:
 
 def _as_int_matrix(m) -> np.ndarray:
     """``m`` as an object array of Python ints (exact, cannot overflow)."""
-    arr = np.asarray(m)
+    try:
+        arr = np.asarray(m)
+    except ValueError:
+        raise InvalidParameterError("expected a square matrix, got ragged rows") from None
+    if arr.dtype.kind not in "biufcO":
+        raise InvalidParameterError(f"expected a numeric matrix, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got shape {arr.shape}")
     ints = []
@@ -125,19 +155,8 @@ def _exact_div(num, den):
     return quot
 
 
-def _poly_gcd(a, b):
-    """Primitive gcd with a positive leading coefficient."""
-    a, b = _primitive(a), _primitive(b)
-    while any(b):
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    return a if a[0] > 0 else [-c for c in a]
-
-
-def _squarefree(p):
-    return _primitive(_exact_div(p, _poly_gcd(p, _poly_deriv(p))))
-
-
 def _sturm_chain(p):
+    """Sturm chain of ``p``; its last member is gcd(p, p') up to a constant."""
     chain = [p, _primitive(_poly_deriv(p))]
     while len(chain[-1]) > 1:
         r = _pseudo_rem(chain[-2], chain[-1])
@@ -147,16 +166,20 @@ def _sturm_chain(p):
     return chain
 
 
+def _scaled_value(p, a: int, b: int) -> int:
+    """p(a/b) * b^deg p (b > 0): an integer with the sign of p(a/b)."""
+    acc, bk = 0, 1
+    for c in p:
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
+
+
 def _sign_changes(chain, a: int, b: int) -> int:
     """Sign changes along the chain at x = a/b (b > 0), zeros skipped."""
-    powers = [1]
-    for _ in range(len(chain[0]) - 1):
-        powers.append(powers[-1] * b)
     changes, last = 0, 0
     for p in chain:
-        acc = 0
-        for c, bk in zip(p, powers):
-            acc = acc * a + c * bk  # acc ends as p(a/b) * b^deg p
+        acc = _scaled_value(p, a, b)
         if acc:
             if last and (acc > 0) != (last > 0):
                 changes += 1
@@ -164,13 +187,43 @@ def _sign_changes(chain, a: int, b: int) -> int:
     return changes
 
 
+def _root_estimate(squarefree) -> float | None:
+    """Float estimate of the smallest real root, from the polynomial alone."""
+    try:
+        roots = np.roots([float(c) for c in squarefree])
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    real = roots.real[roots.imag == 0]
+    return float(real.min()) if real.size else None
+
+
+def _certified_bracket(chain, v_lo: int, squarefree):
+    """Dyadic L < H around the estimate, certified by the chain to hold the
+    smallest root r in (L, H] and no other distinct root below H; returns
+    (L, H, sign of the square-free part at L) with L and H as exact ratios,
+    or None."""
+    x = _root_estimate(squarefree)
+    if x is None:
+        return None
+    delta = 1e-9 * (1 + abs(x))
+    low, high = x - delta, x + delta
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return None
+    low, high = low.as_integer_ratio(), high.as_integer_ratio()
+    if _sign_changes(chain, *low) != v_lo or v_lo - _sign_changes(chain, *high) != 1:
+        return None
+    return low, high, 1 if _scaled_value(squarefree, *low) > 0 else -1
+
+
 def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     """Smallest real root of a polynomial with all-real roots, to ``width``.
 
-    Counts distinct roots in (lo, mid] via the Sturm chain of the square-free
-    part and bisects toward the leftmost one.  The Cauchy bound frames the
-    initial interval.  Coefficients may be integers, rationals or floats;
-    ``width`` must be finite and positive.
+    Bisects toward the leftmost root from the Cauchy bound: a step keeps the
+    lower half when (lo, mid] holds a root.  With a certified float bracket
+    each step is decided by comparison with its ends or by the sign of the
+    square-free part; without one, by Sturm-chain counts.  Both give the
+    same answers (see the module docstring).  Coefficients may be integers,
+    rationals or floats; ``width`` must be finite and positive.
     """
     if not (math.isfinite(width) and width > 0):
         raise InvalidParameterError(f"width must be finite and positive, got {width!r}")
@@ -180,19 +233,31 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     p = _poly_trim([num * (scale // den) for num, den in ratios])
     if len(p) < 2:
         raise InvalidParameterError("constant polynomial has no roots")
-    chain = _sturm_chain(_squarefree(p))
+    chain = _sturm_chain(p)
     # the points lo/den, mid/den, hi/den are exactly the rational bisection
     # points from the Cauchy bound 1 + max|c_i / c_0| = hi/den
     den = abs(p[0])
     hi = den + max(abs(c) for c in p[1:])
     lo = -hi
     v_lo = _sign_changes(chain, lo, den)
-    if v_lo - _sign_changes(chain, hi, den) == 0:
+    squarefree = _primitive(_exact_div(p, chain[-1]))
+    bracket = _certified_bracket(chain, v_lo, squarefree)
+    if bracket is not None:
+        (l_num, l_den), (h_num, h_den), sign_at_low = bracket
+    elif v_lo - _sign_changes(chain, hi, den) == 0:
         raise InvalidParameterError("polynomial has no real roots in the Cauchy bound")
     while (hi - lo) * width_den > width_num * den:
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        if v_lo - _sign_changes(chain, mid, den) >= 1:
+        if bracket is None:
+            below = v_lo - _sign_changes(chain, mid, den) >= 1
+        elif mid * h_den >= h_num * den:
+            below = True
+        elif mid * l_den <= l_num * den:
+            below = False
+        else:
+            below = _scaled_value(squarefree, mid, den) * sign_at_low <= 0
+        if below:
             hi = mid
         else:
             lo = mid

@@ -16,6 +16,7 @@ from qminlab import (
     path_graph,
     q_matrix,
 )
+from qminlab import charpoly
 from qminlab.charpoly import (
     _exact_div,
     charpoly_coeffs,
@@ -326,3 +327,127 @@ def test_inexact_square_free_division_raises():
         _exact_div([1, 0, 1], [1, 1])
     with pytest.raises(ArithmeticError):
         _exact_div([1, 0, 1], [2, 1])
+
+
+@pytest.mark.parametrize(
+    "matrix, reason", [([[1, 2], [3]], "ragged"), ([[1, 2], [2, "a"]], "numeric")]
+)
+def test_malformed_matrix_rejected(matrix, reason):
+    with pytest.raises(InvalidParameterError, match=reason):
+        charpoly_oracle(matrix)
+
+
+def test_oracle_never_consults_lapack_for_its_matrix(monkeypatch):
+    qs = [q_matrix(g) for g in _random_graphs(73, 40, 3, 9)]
+    expected = [charpoly_oracle(q) for q in qs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle asked LAPACK for the spectrum it checks")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert [charpoly_oracle(q) for q in qs] == expected
+
+
+# -- the certified float bracket cannot change a bisection decision ---------
+
+
+def _spy(monkeypatch, name):
+    """Replace ``charpoly.<name>`` by a wrapper; returns the list of
+    (args, result) of every call."""
+    calls = []
+    original = getattr(charpoly, name)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(charpoly, name, spy)
+    return calls
+
+
+def _second_smallest(estimate, squarefree):
+    roots = np.sort(np.roots([float(c) for c in squarefree]).real)
+    return float(roots[1]) if len(roots) > 1 else None
+
+
+MISLEADING_ESTIMATES = {
+    "none": lambda estimate, squarefree: None,
+    "nan": lambda estimate, squarefree: math.nan,
+    "inf": lambda estimate, squarefree: math.inf,
+    "-inf": lambda estimate, squarefree: -math.inf,
+    "plus-one": lambda estimate, squarefree: (
+        None if estimate(squarefree) is None else estimate(squarefree) + 1
+    ),
+    "second-root": _second_smallest,
+    # beyond every Cauchy bound of the corpora, on either side
+    "far-below": lambda estimate, squarefree: -1e300,
+    "far-above": lambda estimate, squarefree: 1e300,
+}
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """(coefficients, outcome) over the corpora of the bit-identity tests,
+    which tie each outcome to the reference: every small graph, 300 random
+    graphs and 300 random polynomials."""
+    polys = set()
+    for n in range(1, 6):
+        for g in _labeled_graphs(n):
+            polys.add(tuple(charpoly_coeffs(q_matrix(g))))
+            polys.add(tuple(charpoly_coeffs(g.adjacency_matrix())))
+    cases = sorted(polys)
+    cases += [charpoly_coeffs(q_matrix(g)) for g in _random_graphs(61, 300, 6, 10)]
+    cases += list(_random_polynomials(67, 300))
+    return [(p, _outcome(smallest_real_root, p)) for p in cases]
+
+
+@pytest.mark.parametrize("name", sorted(MISLEADING_ESTIMATES))
+def test_misleading_estimate_leaves_roots_bit_identical(corpora, monkeypatch, name):
+    estimate, mislead = charpoly._root_estimate, MISLEADING_ESTIMATES[name]
+    monkeypatch.setattr(charpoly, "_root_estimate", lambda sf: mislead(estimate, sf))
+    for coeffs, expected in corpora:
+        assert _outcome(smallest_real_root, coeffs) == expected, coeffs
+
+
+def test_bracket_engages_on_random_graphs(monkeypatch):
+    # without this a bracket that never certified would pass every identity
+    # test above, at the old cost
+    evaluations = _spy(monkeypatch, "_sign_changes")
+    for g in _random_graphs(61, 300, 6, 10):
+        evaluations.clear()
+        charpoly_oracle(q_matrix(g))
+        assert len(evaluations) <= 4
+
+
+@pytest.mark.parametrize("estimate", [None, 1.0])
+def test_near_tie_falls_back(monkeypatch, estimate):
+    # (x - 1)(10^10 x - 10^10 - 1)(x - 3): two roots 1e-10 apart, both inside
+    # any bracket around 1.0; here np.roots reports that pair as complex
+    coeffs = [int(c) for c in _product(10**10, [1, Fraction(10**10 + 1, 10**10), 3])]
+    if estimate is not None:
+        monkeypatch.setattr(charpoly, "_root_estimate", lambda squarefree: estimate)
+    brackets = _spy(monkeypatch, "_certified_bracket")
+    assert smallest_real_root(coeffs) == _ref_smallest_real_root(coeffs)
+    assert [result for _, result in brackets] == [None]
+
+
+def test_coefficient_beyond_float_range_falls_back(monkeypatch):
+    coeffs = [2**1100, -1, 0]
+    estimates = _spy(monkeypatch, "_root_estimate")
+    assert smallest_real_root(coeffs) == _ref_smallest_real_root(coeffs)
+    assert [result for _, result in estimates] == [None]
+
+
+def test_double_root_at_a_midpoint(monkeypatch):
+    # x^3 + x^2 = x^2 (x + 1): the Cauchy interval is (-2, 2] and its first
+    # midpoint, 0, is the double root, where every member of the chain of
+    # x^3 + x^2 vanishes
+    coeffs = [1, 1, 0, 0]
+    expected = _ref_smallest_real_root(coeffs)
+    assert smallest_real_root(coeffs) == expected
+    monkeypatch.setattr(charpoly, "_root_estimate", lambda squarefree: None)
+    evaluations = _spy(monkeypatch, "_sign_changes")
+    assert smallest_real_root(coeffs) == expected
+    assert (0, 2) in [(a, b) for (_, a, b), _ in evaluations]
