@@ -6,7 +6,8 @@ with exactly k pendant vertices is covered, one isomorphism class at a time
 computed; "graphs examined" counts the labeled graphs those classes hold.
 The unique minimizing isomorphism class is always the triangle with a stem
 path ending in a broom of pendant edges.  The unicyclic restriction is
-covered the same way, from unicyclic cores with the same cycle.
+also covered one isomorphism class at a time, each class generated as its
+cycle with a rooted tree hung at every cycle vertex.
 """
 
 from qminlab import ClassQuery, build_U_std, encode_graph6, find_extremal, is_isomorphic

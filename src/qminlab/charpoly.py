@@ -75,7 +75,14 @@ def _as_int_matrix(m) -> np.ndarray:
         raise InvalidParameterError(f"expected a numeric matrix, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got shape {arr.shape}")
-    ints = []
+    kind = arr.dtype.kind
+    if kind == "b" or (
+        kind == "f" and (np.abs(arr) < 2.0**63).all() and (np.trunc(arr) == arr).all()
+    ):
+        arr, kind = arr.astype(np.int64), "i"  # finite, integral and in range: exact
+    if kind in "iu":
+        return arr.astype(object)  # Python ints
+    ints = []  # complex or object entries, or floats that fail the check above
     for x in arr.ravel().tolist():
         num, den = _ratio(x)
         if den != 1:

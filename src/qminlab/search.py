@@ -7,32 +7,40 @@ general class's candidates are the 2^M masks in increasing order (rank =
 mask), a unicyclic class's are the C(M, n) n-edge subsets in lexicographic
 combination order.  A class with more than CANDIDATE_CAP candidates is
 refused: general classes run through order 8 (2^28), unicyclic ones through
-order 9.
+order 9 on every route (witnesses are named through the n! relabellings).
 
 A search takes one of two routes, chosen from the query alone:
 
-* Connected non-bipartite classes with k >= 1 pendants, general or
-  unicyclic, are searched by isomorphism class, as cores plus pendant
-  placements (see ``_representatives``): each class is eigensolved once
-  through one representative, and counts n!/|Aut| towards
-  ``graphs_examined``.  The cores of order n - k come from the labeled
-  candidates at that order only, one per isomorphism class.  Shard s of W
-  is the index range [R*s/W, R*(s+1)/W) of the R representatives in their
-  fixed order (cores by lowest mask, then placements).
-* Every other class (k = 0, or without the connectivity or
-  non-bipartiteness requirement) is scanned labeled graph by labeled graph.
-  Extremal values over labeled graphs and over isomorphism classes
-  coincide, so the scan needs no isomorphism rejection.  Shard s of W
-  visits the candidate ranks [C*s/W, C*(s+1)/W).  ``enumerate_class``
-  always visits the labeled members.
+* By isomorphism class: each class is eigensolved once through one
+  representative and counts n!/|Aut| towards ``graphs_examined``.  Shard s
+  of W is the index range [R*s/W, R*(s+1)/W) of the R representatives in
+  their fixed generation order.  Two generators supply them:
+
+  - every unicyclic class, k = 0 included, from tree codes (see
+    ``_unicyclic_classes``): the cycle C_g with a rooted tree hung at each
+    cycle vertex, one cyclic sequence of trees per class, so no labeled
+    candidate is enumerated;
+  - every connected non-bipartite general class with k >= 1 pendants, as
+    cores plus pendant placements (see ``_representatives``): the cores of
+    order n - k come from the labeled candidates at that order only, one
+    per isomorphism class, ordered by lowest mask, then placements.
+
+* Labeled: every other class (a general one with k = 0, or without the
+  connectivity or non-bipartiteness requirement) is scanned labeled graph
+  by labeled graph.  Extremal values over labeled graphs and over
+  isomorphism classes coincide, so the scan needs no isomorphism
+  rejection.  Shard s of W visits the candidate ranks [C*s/W, C*(s+1)/W).
+  ``enumerate_class`` always visits the labeled members, unicyclic ones
+  included.
 
 On both routes no shard rescans another's, the unsharded order is the
 shards' orders concatenated, and merged shard results equal the unsharded
 ones bit for bit because ``qmin_stack`` gives each matrix the same least
 eigenvalue whatever batch it is solved in (a test re-proves this on a whole
 class).  Tied witnesses are reported one per isomorphism class, each
-relabelled to the lowest mask of its orbit, so both routes name a class by
-the same graph.
+relabelled to the lowest mask of its orbit, so every route names a class by
+the same graph; the witnesses of an objective are deduplicated only when it
+is asked for.
 
 Candidates travel in blocks: an (N,) int64 array of masks with an (N, n)
 uint16 array of neighbour masks, row v holding the bitmask of v's
@@ -242,24 +250,6 @@ def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _rank(m: int, k: int, masks: np.ndarray) -> np.ndarray:
-    """The inverse of ``_unrank``: the lexicographic ranks of the k-edge
-    subsets with these masks among the k-subsets of 0..m-1.
-
-    Lexicographic order of equal-size subsets is decreasing mask order, so
-    the rank is C(m, k) - 1 less the number of smaller masks, which is the
-    sum of C(p, j) over the set bits p of a mask, the j-th lowest first.
-    """
-    binom = np.array([[math.comb(p, j) for j in range(k + 1)] for p in range(m)])
-    below = np.zeros(masks.size, dtype=np.int64)
-    seen = np.zeros(masks.size, dtype=np.int64)
-    for p in range(m):
-        bit = (masks >> p) & 1
-        seen += bit
-        below += bit * binom[p, seen]
-    return math.comb(m, k) - 1 - below
-
-
 def _candidate_count(n: int, unicyclic: bool) -> int:
     """The number C of labeled candidates at order n, refused over the cap."""
     m_edges = n * (n - 1) // 2
@@ -312,71 +302,47 @@ def _class_stream(q: ClassQuery, shard_index: int, shard_count: int):
 
 
 @functools.cache
-def _core_classes(m: int, unicyclic: bool) -> tuple[tuple[int, np.ndarray], ...]:
-    """The connected graphs of order m, one per isomorphism class: the
-    unicyclic ones of every cycle length if ``unicyclic``, else the
-    non-bipartite ones.  In increasing order of the class's lowest mask:
-    (that mask, its automorphisms as rows of ``_permutations(m)``).
+def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The connected non-bipartite graphs of order m, one per isomorphism
+    class, in increasing order of the class's lowest mask: (that mask, its
+    automorphisms as rows of ``_permutations(m)``).
 
     The labeled candidates are streamed once with the pendant screen
-    skipped.  The first member not yet struck starts a class, and its orbit
-    is struck from a table indexed by candidate rank: 2^C(m,2) bools for
-    general candidates (rank = mask), C(C(m,2), m) for unicyclic ones
-    (3.1 MB at m = 8).  Unicyclic candidates run in decreasing mask order,
-    so a class is named by its orbit minimum rather than its first member,
-    and its automorphisms are the rows that fix that minimum.
+    skipped.  They run in increasing mask order, so the first member not yet
+    struck is its orbit's minimum; it starts a class, and its orbit is
+    struck from a table of 2^C(m,2) bools indexed by mask.
     """
-    m_edges = m * (m - 1) // 2
-    query = ClassQuery(n=m, k=0, require_nonbipartite=not unicyclic)
-    struck = np.zeros(_candidate_count(m, unicyclic), dtype=bool)
+    query = ClassQuery(n=m, k=0)
+    struck = np.zeros(_candidate_count(m, False), dtype=bool)
     cores = []
-    for masks in _candidates(m, unicyclic, 0, 1):
+    for masks in _candidates(m, False, 0, 1):
         masks, _ = _members(query, masks, _nbr_rows(m, masks), any_pendants=True)
-        ranks = _rank(m_edges, m, masks) if unicyclic else masks
         while True:
-            fresh = ~struck[ranks]
-            masks, ranks = masks[fresh], ranks[fresh]
+            masks = masks[~struck[masks]]
             if not masks.size:
                 break
-            orbit = _orbit(m, int(masks[0]))
-            struck[_rank(m_edges, m, orbit) if unicyclic else orbit] = True
-            lowest = int(orbit.min())
-            if lowest != masks[0]:
-                orbit = _orbit(m, lowest)
+            lowest = int(masks[0])
+            orbit = _orbit(m, lowest)
+            struck[orbit] = True
             cores.append((lowest, _permutations(m)[orbit == lowest]))
-    return tuple(sorted(cores, key=lambda core: core[0]))
-
-
-def _cores(m: int, girth: Optional[int] = None) -> tuple[tuple[int, np.ndarray], ...]:
-    """The cores of order m, as (lowest mask, automorphisms) in increasing
-    order of that mask: the connected non-bipartite graphs when ``girth`` is
-    None, else the connected unicyclic graphs whose cycle has length
-    ``girth``.  Every girth at one order is filed by ``_cycle_len_rows``
-    from the same cached pass over the order's m-edge candidates."""
-    if girth is None:
-        return _core_classes(m, False)
-    cores = _core_classes(m, True)
-    lengths = _cycle_len_rows(_nbr_rows(m, np.array([mask for mask, _ in cores])))
-    return tuple(core for core, length in zip(cores, lengths.tolist()) if length == girth)
+    return tuple(cores)
 
 
 @functools.cache
-def _representatives(n: int, k: int, girth: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """One graph per isomorphism class of the connected non-bipartite graphs
-    of order n with exactly k >= 1 pendant vertices, unicyclic of cycle
-    length ``girth`` unless it is None: (edge-subset masks, the number of
-    labeled graphs in each class), ordered by core, then by placement.  The
-    class is empty when girth > n - k.
+    of order n with exactly k >= 1 pendant vertices: (edge-subset masks, the
+    number of labeled graphs in each class), ordered by core, then by
+    placement.
 
     Removing the pendants of such a graph G leaves its core H of order
-    m = n - k, connected, non-bipartite and (for a girth) unicyclic with the
-    same cycle, and G is H with a placement: a vector of pendant counts over
-    H's vertices that sums to k and is >= 1 on every leaf of H, so that no
-    core vertex becomes a pendant.  Every such pair is a class member, and
-    two are isomorphic exactly when their cores are and an automorphism of
-    H carries one placement to the other.  So each core of
-    ``_cores(m, girth)`` takes the placements that are the lexicographic
-    maximum of their images under its automorphisms, in
+    m = n - k, connected and non-bipartite, and G is H with a placement: a
+    vector of pendant counts over H's vertices that sums to k and is >= 1 on
+    every leaf of H, so that no core vertex becomes a pendant.  Every such
+    pair is a class member, and two are isomorphic exactly when their cores
+    are and an automorphism of H carries one placement to the other.  So
+    each core of ``_cores(m)`` takes the placements that are the
+    lexicographic maximum of their images under its automorphisms, in
     ``combinations_with_replacement`` order, and a class has
     n! / (|Stab(placement)| * prod of m_v!) labelings.  The core keeps
     labels 0..m-1; pendant m + t hangs from the t-th vertex of the
@@ -398,7 +364,7 @@ def _representatives(n: int, k: int, girth: Optional[int]) -> tuple[np.ndarray, 
     relabelings = math.factorial(n) // fact[placements].prod(axis=1)
     masks = [np.zeros(0, dtype=np.int64)]
     counts = [np.zeros(0, dtype=np.int64)]
-    for core, auts in _cores(m, girth):
+    for core, auts in _cores(m):
         leaves = _popcount()[_nbr_rows(m, np.array([core]))[0]] == 1
         images = placements[:, auts] @ weight
         keep = placements[:, leaves].all(axis=1) & (images.max(axis=1) == code)
@@ -408,21 +374,124 @@ def _representatives(n: int, k: int, girth: Optional[int]) -> tuple[np.ndarray, 
     return np.concatenate(masks), np.concatenate(counts)
 
 
-def _placement_stream(q: ClassQuery, shard_index: int, shard_count: int):
+@functools.cache
+def _rooted_trees(size: int) -> tuple[tuple, ...]:
+    """The rooted trees on ``size`` vertices, one per isomorphism class, each
+    the sorted tuple of its root's child subtrees (a lone vertex is ()).
+
+    A tree is a root over a multiset of smaller trees whose sizes sum to
+    size - 1.  Each multiset is drawn once, as a non-decreasing sequence of
+    positions in the list of smaller trees ordered by size, and sorting the
+    children names isomorphic trees by the same tuple.
+    """
+    smaller = [(s, tree) for s in range(1, size) for tree in _rooted_trees(s)]
+    trees = []
+
+    def forests(start: int, room: int, children: tuple):
+        if not room:
+            trees.append(tuple(sorted(children)))
+        for at in range(start, len(smaller)):
+            s, tree = smaller[at]
+            if s > room:
+                break
+            forests(at, room - s, children + (tree,))
+
+    forests(0, size - 1, ())
+    return tuple(trees)
+
+
+@functools.cache
+def _tree_automorphisms(tree: tuple) -> int:
+    """|Aut| of a rooted tree: prod over its distinct child subtrees c, taken
+    m times, of m! * |Aut(c)|^m."""
+    count = 1
+    for child, copies in itertools.groupby(tree):
+        m = len(list(copies))
+        count *= math.factorial(m) * _tree_automorphisms(child) ** m
+    return count
+
+
+def _tree_leaves(tree: tuple) -> int:
+    """The number of childless vertices of a rooted tree, its root excluded."""
+    return sum(_tree_leaves(child) if child else 1 for child in tree)
+
+
+@functools.cache
+def _unicyclic_classes(n: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The connected unicyclic graphs of order n whose cycle has length g,
+    one per isomorphism class, in a fixed generation order: (edge-subset
+    masks, pendant counts, the number of labeled graphs in each class).
+
+    Such a graph is the cycle C_g with a rooted tree hung at each cycle
+    vertex, and two of them are isomorphic exactly when a rotation or
+    reflection of the cycle carries one sequence of trees onto the other.
+    The sequences of positions in the list of rooted trees ordered by size
+    whose sizes sum to n run in lexicographic order, and each is kept when
+    it is the least of its 2g images.  Its pendants are the trees' non-root
+    leaves, and |Aut| is the number of images equal to it times the
+    product of the trees' automorphism counts, so the class has n!/|Aut|
+    labelings.  Cycle vertex i keeps label i; the other vertices of the
+    trees follow in preorder.
+    """
+    trees = [(s, tree) for s in range(1, n - g + 2) for tree in _rooted_trees(s)]
+    m_edges = n * (n - 1) // 2
+    masks, pendants, counts = [], [], []
+
+    def sequences(prefix: tuple, room: int):
+        if len(prefix) == g:
+            if not room:
+                yield prefix
+            return
+        # an entry below the first would start a smaller rotation
+        for at in range(prefix[0] if prefix else 0, len(trees)):
+            if trees[at][0] > room - (g - len(prefix) - 1):
+                break
+            yield from sequences(prefix + (at,), room - trees[at][0])
+
+    def hang(edges: list, parent: int, tree: tuple):
+        for child in tree:
+            # as many edges as vertices so far: the new vertex is len(edges)
+            edges.append((parent, len(edges)))
+            hang(edges, len(edges) - 1, child)
+
+    for seq in sequences((), n):
+        images = [seq[r:] + seq[:r] for r in range(g)]
+        images += [image[::-1] for image in images]
+        if min(images) < seq:
+            continue
+        edges = [(i, i + 1) for i in range(g - 1)] + [(0, g - 1)]
+        for i, at in enumerate(seq):
+            hang(edges, i, trees[at][1])
+        masks.append(sum(1 << (m_edges - 1 - j * (j - 1) // 2 - i) for i, j in edges))
+        pendants.append(sum(_tree_leaves(trees[at][1]) for at in seq))
+        aut = images.count(seq) * math.prod(_tree_automorphisms(trees[at][1]) for at in seq)
+        counts.append(math.factorial(n) // aut)
+    return tuple(np.array(col, dtype=np.int64) for col in (masks, pendants, counts))
+
+
+def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
     """Yield (masks, nbr, count) blocks of the class's representatives at
-    positions [R*s/W, R*(s+1)/W) of its R, in ``_representatives`` order;
-    count is the number of labeled graphs the block's classes hold.  A class
-    over the cap is refused, as on the labeled route."""
+    positions [R*s/W, R*(s+1)/W) of its R, in ``_unicyclic_classes`` order
+    for a unicyclic class and ``_representatives`` order otherwise; count is
+    the number of labeled graphs the block's classes hold.  A class over the
+    cap is refused, as on the labeled route."""
     _candidate_count(q.n, q.unicyclic_girth is not None)
-    masks, counts = _representatives(q.n, q.k, q.unicyclic_girth)
+    if q.unicyclic_girth is None:
+        masks, counts = _representatives(q.n, q.k)
+    else:
+        masks, pendants, counts = _unicyclic_classes(q.n, q.unicyclic_girth)
+        masks, counts = masks[pendants == q.k], counts[pendants == q.k]
     for start, stop in _shard_chunks(masks.size, shard_index, shard_count):
         block = masks[start:stop]
         yield block, _nbr_rows(q.n, block), int(counts[start:stop].sum())
 
 
 def _by_core(q: ClassQuery) -> bool:
-    """Whether the query's class is searched as cores plus placements."""
-    return q.k >= 1 and q.require_connected and q.require_nonbipartite
+    """Whether the query's class is searched one isomorphism class at a
+    time: every unicyclic class, and the connected non-bipartite general
+    classes with pendants."""
+    general = q.k >= 1 and q.require_connected and q.require_nonbipartite
+    return q.unicyclic_girth is not None or general
 
 
 def enumerate_class(
@@ -547,43 +616,50 @@ def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
     to the lowest mask of its orbit, in increasing order of that mask.
 
     Each class strikes its whole orbit from the rest: W is isomorphic to R
-    exactly when mask(W) is the mask of some relabelling of R.  The work
-    grows with the number of classes, not of tied graphs.
+    exactly when mask(W) is the mask of some relabelling of R, looked up by
+    binary search in R's sorted orbit.  (``np.isin`` would go through
+    ``np.unique``, whose first call imports ``numpy.ma``, about 20 ms.)  The
+    work grows with the number of classes, not of tied graphs.
     """
     rest = np.sort(masks)
     lowest = []
     while rest.size:
-        orbit = _orbit(n, int(rest[0]))
-        lowest.append(orbit.min())
-        rest = rest[~np.isin(rest, orbit)]
+        orbit = np.sort(_orbit(n, int(rest[0])))
+        lowest.append(orbit[0])
+        found = orbit[np.searchsorted(orbit, rest).clip(max=orbit.size - 1)]
+        rest = rest[found != rest]
     rows = _nbr_rows(n, np.sort(np.array(lowest, dtype=np.int64)))
     return tuple(Graph(n, tuple(row)) for row in rows.tolist())
 
 
-def _results(n: int, tie_tol: float, shards) -> dict[str, SearchResult]:
-    """Merge the scans of some shards' block streams into one result per
-    objective."""
+def _scan(n: int, tie_tol: float, shards) -> tuple[int, dict[str, tuple[float, np.ndarray]]]:
+    """Merge the scans of some shards' block streams: the number of labeled
+    graphs they stand for and, per objective, the best value with the masks
+    within its tie window (NaN and no masks for an empty class)."""
     partials = [_scan_shard(n, tie_tol, blocks) for blocks in shards]
     count = sum(c for c, _ in partials)
-    scan = {}
+    ties = {}
     for obj in ("min", "max"):
-        if count == 0:
-            scan[obj] = SearchResult(obj, math.nan, (), 0)
-            continue
-        best, masks, _ = _keep_ties(
-            obj,
-            tie_tol,
-            np.concatenate([ties[obj][0] for _, ties in partials]),
-            np.concatenate([ties[obj][1] for _, ties in partials]),
-        )
-        scan[obj] = SearchResult(obj, best, _dedup_witnesses(n, masks), count)
-    return scan
+        masks = np.concatenate([shard_ties[obj][0] for _, shard_ties in partials])
+        values = np.concatenate([shard_ties[obj][1] for _, shard_ties in partials])
+        ties[obj] = _keep_ties(obj, tie_tol, masks, values)[:2] if count else (math.nan, masks)
+    return count, ties
 
 
 @functools.lru_cache(maxsize=32)
-def _run_scan(q: ClassQuery, tie_tol: float, shards: int) -> dict[str, SearchResult]:
-    stream = _placement_stream if _by_core(q) else _class_stream
-    return _results(q.n, tie_tol, [stream(q, s, shards) for s in range(shards)])
+def _run_scan(q: ClassQuery, tie_tol: float, shards: int):
+    """The query's ``_scan``, cached: one sweep serves both objectives."""
+    stream = _representative_stream if _by_core(q) else _class_stream
+    return _scan(q.n, tie_tol, [stream(q, s, shards) for s in range(shards)])
+
+
+@functools.lru_cache(maxsize=32)
+def _search(q: ClassQuery, tie_tol: float, shards: int, objective: str) -> SearchResult:
+    """One objective's result, with only that objective's witnesses
+    deduplicated."""
+    count, ties = _run_scan(q, tie_tol, shards)
+    best, masks = ties[objective]
+    return SearchResult(objective, best, _dedup_witnesses(q.n, masks), count)
 
 
 def find_extremal(
@@ -606,7 +682,7 @@ def find_extremal(
         raise InvalidParameterError(f"tie_tol must be finite and positive, got {tie_tol}")
     if shards < 1:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    return _run_scan(q, tie_tol, shards)[objective]
+    return _search(q, tie_tol, shards, objective)
 
 
 def alpha(n: int, k: int, g: int) -> float:

@@ -337,6 +337,39 @@ def test_malformed_matrix_rejected(matrix, reason):
         charpoly_oracle(matrix)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 2], [3]], "expected a square matrix, got ragged rows"),
+        ([[1, 2], [2, "a"]], "expected a numeric matrix, got dtype <U21"),
+        (np.array([[1 + 0j]]), "expected a finite real number, got (1+0j)"),
+        (np.array([[2.0, 1.0], [1.0, np.nan]]), "expected a finite real number, got nan"),
+        (np.array([[-np.inf, 1.0], [1.0, 0.5]]), "expected a finite real number, got -inf"),
+        (np.array([[1.0, 2.5], [np.nan, 1.0]]), "non-integer entry 2.5"),
+        (np.array([[0.5, 0], [0, 1]], dtype=object), "non-integer entry 0.5"),
+    ],
+    ids=["ragged", "text", "complex", "nan", "-inf", "fraction-after-nan", "object-fraction"],
+)
+def test_rejections_name_the_first_bad_entry(matrix, message):
+    with pytest.raises(InvalidParameterError) as info:
+        charpoly_coeffs(matrix)
+    assert str(info.value) == message
+
+
+def test_integer_conversion_is_exact_for_every_dtype():
+    # object arrays go entry by entry through exact ratios: the reference
+    for g in _random_graphs(79, 30, 1, 9):
+        q = q_matrix(g)
+        expected = charpoly_coeffs(q.astype(object))
+        for matrix in (q, q.astype(np.float32), q.astype(np.int8), q.astype(np.uint64), q.tolist()):
+            assert charpoly_coeffs(matrix) == expected
+    for matrix in ([[2.0**70, 1.0], [1.0, -(2.0**63)]], [[True, False], [False, True]]):
+        coeffs = charpoly_coeffs(np.array(matrix))
+        exact = np.array([[int(x) for x in row] for row in matrix], dtype=object)
+        assert coeffs == charpoly_coeffs(exact)
+        assert all(type(c) is int for c in coeffs)
+
+
 def test_oracle_never_consults_lapack_for_its_matrix(monkeypatch):
     qs = [q_matrix(g) for g in _random_graphs(73, 40, 3, 9)]
     expected = [charpoly_oracle(q) for q in qs]

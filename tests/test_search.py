@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,24 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
     assert seen == expected and expected
 
 
+def _rank(m, k, masks):
+    """Reference inverse of ``search._unrank``: the lexicographic ranks of
+    the k-edge subsets with these masks among the k-subsets of 0..m-1.
+
+    Lexicographic order of equal-size subsets is decreasing mask order, so
+    the rank is C(m, k) - 1 less the number of smaller masks, which is the
+    sum of C(p, j) over the set bits p of a mask, the j-th lowest first.
+    """
+    binom = np.array([[math.comb(p, j) for j in range(k + 1)] for p in range(m)])
+    below = np.zeros(masks.size, dtype=np.int64)
+    seen = np.zeros(masks.size, dtype=np.int64)
+    for p in range(m):
+        bit = (masks >> p) & 1
+        seen += bit
+        below += bit * binom[p, seen]
+    return math.comb(m, k) - 1 - below
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_rank_inverts_unrank(n):
     m = n * (n - 1) // 2
@@ -284,7 +306,7 @@ def test_rank_inverts_unrank(n):
     hi = min(total, lo + (1 << 17))
     edge_bit = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
     masks = edge_bit[search._unrank(m, n, lo, hi)].sum(axis=1)
-    assert (search._rank(m, n, masks) == np.arange(lo, hi)).all()
+    assert (_rank(m, n, masks) == np.arange(lo, hi)).all()
     assert (np.diff(masks) < 0).all()  # lexicographic order is decreasing mask order
 
 
@@ -314,10 +336,17 @@ def test_core_class_counts():
             assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
 
 
-def _check_core_route_against_labeled_scan(q, shard_counts):
+def _labeled_result(q, objective, blocks):
+    """The labeled route: every labeled member of the blocks eigensolved."""
+    count, ties = search._scan(q.n, search.DEFAULT_TIE_TOL, [blocks])
+    best, masks = ties[objective]
+    return search.SearchResult(objective, best, search._dedup_witnesses(q.n, masks), count)
+
+
+def _check_core_route_against_labeled_scan(q, shard_counts, blocks=None):
     assert search._by_core(q)
-    # the labeled route: every labeled member eigensolved
-    labeled = search._results(q.n, search.DEFAULT_TIE_TOL, [search._class_stream(q, 0, 1)])
+    blocks = list(search._class_stream(q, 0, 1) if blocks is None else blocks)
+    labeled = {obj: _labeled_result(q, obj, blocks) for obj in ("min", "max")}
     for shards in shard_counts:
         for objective in ("min", "max"):
             want = labeled[objective]
@@ -341,21 +370,32 @@ def test_core_route_matches_labeled_scan(n):
         _check_core_route_against_labeled_scan(ClassQuery(n=n, k=k), (1, 3, 4))
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_unicyclic_core_route_matches_labeled_scan(n):
-    # n = 3 has no unicyclic class with a pendant; girths above n - k give
+    # k = 0 takes in the cycle alone (g = n); girths above n - k give
     # empty classes, which both routes must report as empty
     for g in (3, 5, 7):
-        for k in range(1, n - 2):
+        for k in range(0, n - 2):
             if g <= n:
                 q = ClassQuery(n=n, k=k, unicyclic_girth=g)
                 _check_core_route_against_labeled_scan(q, (1, 3, 4))
 
 
-@pytest.mark.parametrize("g", [3, 5])
+@pytest.mark.parametrize("g", [3, 5, 7])
 def test_unicyclic_core_route_matches_labeled_scan_at_order_eight(g):
-    q = ClassQuery(n=8, k=1, unicyclic_girth=g)
-    _check_core_route_against_labeled_scan(q, (1,))
+    # one labeled pass over the C(28, 8) candidates, its members filed by
+    # pendant count, serves every k
+    q = ClassQuery(n=8, k=0, unicyclic_girth=g)
+    by_k = {}
+    for masks in search._candidates(8, True, 0, 1):
+        masks, nbr = search._members(q, masks, search._nbr_rows(8, masks), any_pendants=True)
+        pendants = (search._popcount()[nbr] == 1).sum(axis=1)
+        for k in range(6):
+            at = pendants == k
+            by_k.setdefault(k, []).append((masks[at], nbr[at], int(at.sum())))
+    for k in range(6):
+        q = ClassQuery(n=8, k=k, unicyclic_girth=g)
+        _check_core_route_against_labeled_scan(q, (1,), by_k[k])
 
 
 def test_unicyclic_core_route_unranks_only_at_core_order(monkeypatch):
@@ -367,11 +407,12 @@ def test_unicyclic_core_route_unranks_only_at_core_order(monkeypatch):
         return unrank(m, k, lo, hi)
 
     monkeypatch.setattr(search, "_unrank", spy)
-    for cache in (search._core_classes, search._representatives, search._run_scan):
+    for cache in (search._unicyclic_classes, search._run_scan, search._search):
         cache.cache_clear()
-    res = find_extremal(ClassQuery(n=7, k=2, unicyclic_girth=3), "min", shards=3)
-    assert res.graphs_examined > 0
-    assert orders and set(orders) == {5}
+    for k, g in ((0, 7), (2, 3)):
+        res = find_extremal(ClassQuery(n=7, k=k, unicyclic_girth=g), "min", shards=3)
+        assert res.graphs_examined > 0
+    assert orders == []  # a unicyclic search enumerates no labeled candidates
 
 
 def _labeled_unicyclic(m, g):
@@ -382,35 +423,49 @@ def _labeled_unicyclic(m, g):
             yield graph
 
 
+def test_unicyclic_generator_matches_oeis():
+    # rooted trees (OEIS A000081), then connected unicyclic graphs summed
+    # over every cycle length, even ones included: up to isomorphism
+    # (A001429) and labeled (A057500)
+    assert [len(search._rooted_trees(s)) for s in range(1, 10)] == [
+        1, 1, 2, 4, 9, 20, 48, 115, 286
+    ]
+    classes, labeled = [], []
+    for n in range(3, 10):
+        per_girth = [search._unicyclic_classes(n, g) for g in range(3, n + 1)]
+        classes.append(sum(masks.size for masks, _, _ in per_girth))
+        labeled.append(sum(int(counts.sum()) for _, _, counts in per_girth))
+    assert classes == [1, 2, 5, 13, 33, 89, 240]
+    assert labeled == [1, 15, 222, 3660, 68295, 1436568, 33779340]
+
+
 def test_unicyclic_core_class_counts():
-    # connected unicyclic graphs over every cycle length (OEIS A001429)
-    counts = [len(search._core_classes(m, True)) for m in range(3, 8)]
-    assert counts == [1, 2, 5, 13, 33]
     for m in range(3, 7):
-        for g in (3, 5, 7):
-            cores = search._cores(m, g)
+        for g in range(3, m + 1):
+            masks, pendants, counts = search._unicyclic_classes(m, g)
             expected = _pairwise_dedup_graphs(_labeled_unicyclic(m, g))
-            assert len(cores) == len(expected), (m, g)
-            for core, auts in cores:
-                graph = _graph_of_mask(m, core)
+            assert len(masks) == len(expected), (m, g)
+            assert not any(
+                is_isomorphic(_graph_of_mask(m, a), _graph_of_mask(m, b))
+                for a, b in itertools.combinations(masks.tolist(), 2)
+            )
+            for mask, k, count in zip(masks.tolist(), pendants.tolist(), counts.tolist()):
+                graph = _graph_of_mask(m, mask)
                 assert girth(graph) == g and is_connected(graph) and graph.edge_count == m
-                orbit = search._orbit(m, core)
-                assert core == orbit.min()
-                assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
-                edges = set(graph.edges())
-                for perm in auts.tolist():  # each one fixes the core itself
-                    assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+                assert k == sum(1 for d in graph.degrees() if d == 1)
+                # orbit-stabilizer: n!/|Aut| distinct labelings
+                assert count == len(set(search._orbit(m, mask).tolist()))
 
 
 def test_unicyclic_search_at_order_nine_in_bounded_memory():
-    # the core strike table is indexed by candidate rank: C(28, 8) bools,
-    # where a table indexed by mask would hold 2^28
+    # the classes come from tree codes; witness naming holds the 9! relabellings
     for cache in (
         search._half_tables,
-        search._rank_offsets,
-        search._core_classes,
-        search._representatives,
+        search._rooted_trees,
+        search._tree_automorphisms,
+        search._unicyclic_classes,
         search._run_scan,
+        search._search,
         search._permutations,
     ):
         cache.cache_clear()
@@ -424,6 +479,25 @@ def test_unicyclic_search_at_order_nine_in_bounded_memory():
     assert res.graphs_examined == math.factorial(9) // 2  # a tadpole: |Aut| = 2
     assert len(res.witnesses) == 1
     assert is_isomorphic(res.witnesses[0], build_U_std(9, 1, 3)[0])
+
+
+def test_sweeps_do_not_import_numpy_ma():
+    # numpy.ma costs about 20 ms to import, and np.unique (so np.isin)
+    # imports it on first use; a fresh interpreter shows whether a sweep does
+    code = (
+        "import sys\n"
+        "from qminlab import ClassQuery, find_extremal\n"
+        "find_extremal(ClassQuery(n=7, k=2), 'min')\n"
+        "find_extremal(ClassQuery(n=8, k=1, unicyclic_girth=3), 'min')\n"
+        "assert 'numpy.ma' not in sys.modules, 'a sweep imported numpy.ma'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
