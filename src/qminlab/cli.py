@@ -57,14 +57,15 @@ class RunConfig:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '3', '1..4', or '3,5,7' (and mixtures separated by commas)."""
+    """Accept '3', '1..4', or '3,5,7' (and mixtures separated by commas); a
+    range must not run downwards."""
     out = []
     for piece in text.split(","):
         try:
             ends = [int(end) for end in piece.split("..")]
         except ValueError:
             ends = []
-        if not 1 <= len(ends) <= 2:
+        if not 1 <= len(ends) <= 2 or ends[0] > ends[-1]:
             raise QminlabError(
                 f"malformed integer list {text!r}: expected e.g. 3, 1..4 or 3,5,7"
             )
@@ -168,6 +169,8 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
+    if args.g is not None and args.theorem != "unicyclic-min":
+        raise QminlabError("--g applies only to unicyclic-min")
     if args.theorem == "min":
         query = ClassQuery(n=args.n, k=args.k)
         expected, _ = build_U_std(args.n, args.k, 3)

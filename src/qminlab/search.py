@@ -7,7 +7,7 @@ general class's candidates are the 2^M masks in increasing order (rank =
 mask), a unicyclic class's are the C(M, n) n-edge subsets in lexicographic
 combination order.  A class with more than CANDIDATE_CAP candidates is
 refused: general classes run through order 8 (2^28), unicyclic ones through
-order 9 on every route (witnesses are named through the n! relabellings).
+order 9 on every route.
 
 A search takes one of two routes, chosen from the query alone:
 
@@ -39,8 +39,10 @@ ones bit for bit because ``qmin_stack`` gives each matrix the same least
 eigenvalue whatever batch it is solved in (a test re-proves this on a whole
 class).  Tied witnesses are reported one per isomorphism class, each
 relabelled to the lowest mask of its orbit, so every route names a class by
-the same graph; the witnesses of an objective are deduplicated only when it
-is asked for.
+the same graph, and only for the objective asked for.  The by-class route
+finds that mask by search (``_lowest_mask``), since its representatives are
+already pairwise non-isomorphic; the labeled route strikes whole orbits of
+n! relabellings from its tie set (``_dedup_witnesses``).
 
 Candidates travel in blocks: an (N,) int64 array of masks with an (N, n)
 uint16 array of neighbour masks, row v holding the bitmask of v's
@@ -611,15 +613,58 @@ def _orbit(n: int, mask: int) -> np.ndarray:
     return image
 
 
-def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
-    """One graph per isomorphism class of the witness masks, each relabelled
-    to the lowest mask of its orbit, in increasing order of that mask.
+def _lowest_mask(n: int, mask: int) -> int:
+    """The lowest mask over all relabellings of one labeled graph, found by
+    search instead of by enumerating the n! of them.
 
-    Each class strikes its whole orbit from the rest: W is isomorphic to R
-    exactly when mask(W) is the mask of some relabelling of R, looked up by
-    binary search in R's sorted orbit.  (``np.isin`` would go through
-    ``np.unique``, whose first call imports ``numpy.ma``, about 20 ms.)  The
-    work grows with the number of classes, not of tied graphs.
+    Column j of a mask is the adjacency of the vertex labelled j to labels
+    0..j-1, (0, j) its most significant bit, so the lowest mask is the
+    lexicographic minimum of the columns taken in order.  Labels are given
+    one at a time, keeping only the labelling prefixes whose columns so far
+    are that minimum.  A prefix is held as a row of codes: entry v is v's
+    column against the prefix, or ``used`` once v is labelled, and labelling
+    u next turns each code c into 2c + adj(u, v).  Two prefixes whose rows
+    are equal have the same futures, so equal rows are merged (by
+    ``np.lexsort``: ``np.unique`` would import ``numpy.ma``).
+    """
+    m_edges = n * (n - 1) // 2
+    adj = np.zeros((n, n), dtype=np.int64)
+    for b, (i, j) in enumerate(_edge_list(n)):
+        adj[i, j] = adj[j, i] = (mask >> (m_edges - 1 - b)) & 1
+    used = 1 << n  # above every code
+    codes = np.zeros((1, n), dtype=np.int64)
+    lowest = 0
+    for j in range(n):
+        column = codes.min()
+        lowest |= int(column) << (m_edges - j * (j + 1) // 2)
+        rows, picked = np.nonzero(codes == column)
+        codes = codes[rows]
+        codes = np.where(codes == used, used, codes << 1 | adj[picked])
+        codes[np.arange(rows.size), picked] = used
+        codes = codes[np.lexsort(codes.T)]
+        fresh = np.ones(rows.size, dtype=bool)
+        fresh[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+        codes = codes[fresh]
+    return lowest
+
+
+def _witness_graphs(n: int, masks) -> tuple[Graph, ...]:
+    """The graphs of some masks, in increasing mask order."""
+    rows = _nbr_rows(n, np.sort(np.array(masks, dtype=np.int64)))
+    return tuple(Graph(n, tuple(row)) for row in rows.tolist())
+
+
+def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
+    """One graph per isomorphism class of a labeled scan's witness masks,
+    each relabelled to the lowest mask of its orbit, in increasing order of
+    that mask.
+
+    The tie set may hold every labeled member of a class, so each class
+    strikes its whole orbit from the rest: W is isomorphic to R exactly when
+    mask(W) is the mask of some relabelling of R, looked up by binary search
+    in R's sorted orbit.  (``np.isin`` would go through ``np.unique``, whose
+    first call imports ``numpy.ma``, about 20 ms.)  The work grows with the
+    number of classes, not of tied graphs.
     """
     rest = np.sort(masks)
     lowest = []
@@ -628,8 +673,7 @@ def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
         lowest.append(orbit[0])
         found = orbit[np.searchsorted(orbit, rest).clip(max=orbit.size - 1)]
         rest = rest[found != rest]
-    rows = _nbr_rows(n, np.sort(np.array(lowest, dtype=np.int64)))
-    return tuple(Graph(n, tuple(row)) for row in rows.tolist())
+    return _witness_graphs(n, lowest)
 
 
 def _scan(n: int, tie_tol: float, shards) -> tuple[int, dict[str, tuple[float, np.ndarray]]]:
@@ -655,11 +699,17 @@ def _run_scan(q: ClassQuery, tie_tol: float, shards: int):
 
 @functools.lru_cache(maxsize=32)
 def _search(q: ClassQuery, tie_tol: float, shards: int, objective: str) -> SearchResult:
-    """One objective's result, with only that objective's witnesses
-    deduplicated."""
+    """One objective's result, with only that objective's witnesses named.
+    The by-class generators emit pairwise non-isomorphic representatives,
+    so there each witness is only relabelled to its lowest mask; a labeled
+    scan's witnesses are deduplicated."""
     count, ties = _run_scan(q, tie_tol, shards)
     best, masks = ties[objective]
-    return SearchResult(objective, best, _dedup_witnesses(q.n, masks), count)
+    if _by_core(q):
+        witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, m) for m in masks.tolist()])
+    else:
+        witnesses = _dedup_witnesses(q.n, masks)
+    return SearchResult(objective, best, witnesses, count)
 
 
 def find_extremal(

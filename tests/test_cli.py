@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,10 @@ def test_non_finite_tolerances(capsys, argv, value):
         ("scan", "alpha", "--n", "5..6..7", "--k", "1", "--g", "3"),
         ("scan", "bounds", "--n", "4,"),
         ("family", "K", "--profile", "2,x"),
+        # a range that runs downwards would be empty
+        ("scan", "alpha", "--n", "5..3", "--k", "1", "--g", "3"),
+        ("scan", "bounds", "--n", "9..4"),
+        ("family", "K", "--profile", "3..1"),
     ],
 )
 def test_malformed_integer_lists(capsys, argv):
@@ -210,6 +218,28 @@ def test_flags_only_on_commands_that_read_them(capsys):
     assert run(capsys, "scan", "bounds", "--n", "4", "--tie-tol", "1")[0] == 2
     assert run(capsys, "verify", "min", "--n", "5", "--k", "1", "--group-tol", "1")[0] == 2
     assert run(capsys, "spectrum", "Bw", "--shards", "2")[0] == 2
+
+
+@pytest.mark.parametrize("theorem", ["min", "max"])
+def test_verify_girth_only_for_unicyclic_min(capsys, theorem):
+    code, out, err = run(capsys, "verify", theorem, "--n", "7", "--k", "2", "--g", "4")
+    assert code == 2 and out == ""
+    assert "--g applies only to unicyclic-min" in err
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "qminlab", "verify", "min", "--n", "5", "--k", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "confirmed: true" in proc.stdout
 
 
 def test_usage_error(capsys):

@@ -458,7 +458,7 @@ def test_unicyclic_core_class_counts():
 
 
 def test_unicyclic_search_at_order_nine_in_bounded_memory():
-    # the classes come from tree codes; witness naming holds the 9! relabellings
+    # the classes come from tree codes and each witness is named by search
     for cache in (
         search._half_tables,
         search._rooted_trees,
@@ -479,6 +479,55 @@ def test_unicyclic_search_at_order_nine_in_bounded_memory():
     assert res.graphs_examined == math.factorial(9) // 2  # a tadpole: |Aut| = 2
     assert len(res.witnesses) == 1
     assert is_isomorphic(res.witnesses[0], build_U_std(9, 1, 3)[0])
+
+
+def test_lowest_mask_matches_orbit_minimum():
+    graphs = [(n, 0) for n in range(1, 9)]
+    graphs += [(n, (1 << n * (n - 1) // 2) - 1) for n in range(1, 9)]
+    for n in range(3, 9):
+        for g in range(3, n + 1):
+            graphs += [(n, mask) for mask in search._unicyclic_classes(n, g)[0].tolist()]
+    for n in range(4, 8):
+        for k in range(1, n - 2):
+            graphs += [(n, mask) for mask in search._representatives(n, k)[0].tolist()]
+    rng = random.Random(2024)
+    for n in range(2, 9):
+        graphs += [(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(300)]
+    for n, mask in graphs:
+        assert search._lowest_mask(n, mask) == int(search._orbit(n, mask).min()), (n, mask)
+
+
+def test_generators_emit_one_graph_per_class():
+    # what lets the by-class route name witnesses without deduplicating
+    # them: no two representatives share a lowest mask
+    for n in range(3, 10):
+        lowest = [
+            search._lowest_mask(n, mask)
+            for g in range(3, n + 1)
+            for mask in search._unicyclic_classes(n, g)[0].tolist()
+        ]
+        assert len(set(lowest)) == len(lowest), n
+    for n in range(4, 8):
+        lowest = [
+            search._lowest_mask(n, mask)
+            for k in range(1, n - 2)
+            for mask in search._representatives(n, k)[0].tolist()
+        ]
+        assert len(set(lowest)) == len(lowest), n
+
+
+def test_unicyclic_search_builds_no_relabelling_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a unicyclic search built the n! relabellings")
+
+    monkeypatch.setattr(search, "_permutations", refuse)
+    monkeypatch.setattr(search, "_orbit", refuse)
+    for cache in (search._run_scan, search._search):
+        cache.cache_clear()
+    for k, g in ((0, 9), (1, 3), (2, 5)):
+        for objective in ("min", "max"):
+            res = find_extremal(ClassQuery(n=9, k=k, unicyclic_girth=g), objective, shards=2)
+            assert res.witnesses
 
 
 def test_sweeps_do_not_import_numpy_ma():
