@@ -61,7 +61,6 @@ from .search import (
     RelocationResult,
     SearchResult,
     alpha,
-    enumerate_class,
     find_extremal,
     interlacing_check,
     majorization_scan,

@@ -1,52 +1,39 @@
-"""Exhaustive searches over graph classes at small order.
+"""Exhaustive searches over graph classes at small order, one isomorphism
+class at a time.
 
-Classes are enumerated as edge subsets of the complete graph.  Edge b of
-K_n (column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b of
-the subset mask.  A class has C labeled candidates, each with a rank: a
-general class's candidates are the 2^M masks in increasing order (rank =
-mask), a unicyclic class's are the C(M, n) n-edge subsets in lexicographic
-combination order.  A class with more than CANDIDATE_CAP candidates is
-refused: general classes run through order 8 (2^28), unicyclic ones through
-order 9 on every route.
+A labeled graph of order n is an edge subset of K_n, held as a mask: edge b
+of K_n (column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
+A search eigensolves one representative per isomorphism class, and each
+class counts n!/|Aut| towards ``graphs_examined``.  Two generators supply
+the representatives, and neither enumerates labeled candidates:
 
-A search takes one of two routes, chosen from the query alone:
+* every unicyclic class from tree codes (see ``_unicyclic_classes``): the
+  cycle C_g with a rooted tree hung at each cycle vertex, one cyclic
+  sequence of trees per class;
+* every general class (connected, non-bipartite, exactly k >= 0 pendants)
+  as a core plus a pendant placement (see ``_representatives``): the cores
+  of order n - k are the connected non-bipartite graphs of that order, one
+  per isomorphism class, built by adding a vertex to the connected graphs
+  one order down (see ``_connected``).
 
-* By isomorphism class: each class is eigensolved once through one
-  representative and counts n!/|Aut| towards ``graphs_examined``.  Shard s
-  of W is the index range [R*s/W, R*(s+1)/W) of the R representatives in
-  their fixed generation order.  Two generators supply them:
+General classes are searched through order 8 and unicyclic ones through
+order 9; larger orders are refused.  Past them ``_nbr_rows``'s tables grow
+to about 250 MB at order 10, and general order 9 needs the cores of order
+8, which the vertex-adding build takes about 50 s to make (a general class
+of order 8 with no pendant needs them too).
 
-  - every unicyclic class, k = 0 included, from tree codes (see
-    ``_unicyclic_classes``): the cycle C_g with a rooted tree hung at each
-    cycle vertex, one cyclic sequence of trees per class, so no labeled
-    candidate is enumerated;
-  - every connected non-bipartite general class with k >= 1 pendants, as
-    cores plus pendant placements (see ``_representatives``): the cores of
-    order n - k come from the labeled candidates at that order only, one
-    per isomorphism class, ordered by lowest mask, then placements.
+Shard s of W is the index range [R*s/W, R*(s+1)/W) of the R representatives
+in their fixed generation order.  No shard rescans another's, the unsharded
+order is the shards' orders concatenated, and merged shard results equal
+the unsharded ones bit for bit because ``qmin_stack`` gives each matrix the
+same least eigenvalue whatever batch it is solved in (a test re-proves this
+on a whole class).  Tied witnesses are reported one per isomorphism class,
+each relabelled to the lowest mask of its orbit, found by search
+(``_lowest_mask``), and only for the objective asked for.
 
-* Labeled: every other class (a general one with k = 0, or without the
-  connectivity or non-bipartiteness requirement) is scanned labeled graph
-  by labeled graph.  Extremal values over labeled graphs and over
-  isomorphism classes coincide, so the scan needs no isomorphism
-  rejection.  Shard s of W visits the candidate ranks [C*s/W, C*(s+1)/W).
-  ``enumerate_class`` always visits the labeled members, unicyclic ones
-  included.
-
-On both routes no shard rescans another's, the unsharded order is the
-shards' orders concatenated, and merged shard results equal the unsharded
-ones bit for bit because ``qmin_stack`` gives each matrix the same least
-eigenvalue whatever batch it is solved in (a test re-proves this on a whole
-class).  Tied witnesses are reported one per isomorphism class, each
-relabelled to the lowest mask of its orbit, so every route names a class by
-the same graph, and only for the objective asked for.  The by-class route
-finds that mask by search (``_lowest_mask``), since its representatives are
-already pairwise non-isomorphic; the labeled route strikes whole orbits of
-n! relabellings from its tie set (``_dedup_witnesses``).
-
-Candidates travel in blocks: an (N,) int64 array of masks with an (N, n)
-uint16 array of neighbour masks, row v holding the bitmask of v's
-neighbours.  Every screen and exact test runs on a whole block at once.
+Representatives travel in blocks: an (N,) int64 array of masks with an
+(N, n) uint16 array of neighbour masks, row v holding the bitmask of v's
+neighbours.
 """
 
 from __future__ import annotations
@@ -55,7 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,21 +52,21 @@ from .graphs import Graph, coalesce, is_connected, two_coloring
 from .patterns import PatternReport
 from .spectra import eig_sym, q_matrix, q_min_of, qmin_stack
 
-CANDIDATE_CAP = 1 << 28
 DEFAULT_TIE_TOL = 1e-8
+MAX_ORDER = 8
+MAX_UNICYCLIC_ORDER = 9
 _CHUNK = 1 << 16
 _EIG_BATCH = 4096
 
 
 @dataclass(frozen=True)
 class ClassQuery:
-    """A graph-class predicate: order, exact pendant count, connectivity,
-    non-bipartiteness, and optionally "unicyclic with this odd girth"."""
+    """A graph class: the connected non-bipartite graphs of order n with
+    exactly k pendant vertices, optionally only the unicyclic ones whose
+    cycle has this odd length."""
 
     n: int
     k: int
-    require_connected: bool = True
-    require_nonbipartite: bool = True
     unicyclic_girth: Optional[int] = None
 
     def __post_init__(self):
@@ -87,24 +74,18 @@ class ClassQuery:
             raise InvalidParameterError(f"order must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:
             raise InvalidParameterError(f"pendant count {self.k} out of range")
-        if self.require_nonbipartite:
-            if self.n < 3 or self.k > self.n - 3:
-                raise InvalidParameterError(
-                    f"an odd cycle needs 3 non-pendant vertices: k={self.k}, n={self.n}"
-                )
+        if self.n < 3 or self.k > self.n - 3:
+            raise InvalidParameterError(
+                f"an odd cycle needs 3 non-pendant vertices: k={self.k}, n={self.n}"
+            )
         if self.unicyclic_girth is not None:
             g = self.unicyclic_girth
             if g < 3 or g % 2 == 0 or g > self.n:
                 raise InvalidParameterError(f"unicyclic girth must be odd, 3..n, got {g}")
-            if not self.require_connected:
-                raise InvalidParameterError("unicyclic graphs are connected by definition")
 
 
 def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-# -- batch graph predicates --------------------------------------------------
 
 
 @functools.cache
@@ -144,126 +125,6 @@ def _nbr_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return low[masks & ((1 << low_bits) - 1)] | high[masks >> low_bits]
 
 
-def _nbhd(nbr: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Per row, the union of the neighbourhoods of the vertices in ``sets``."""
-    inside = (sets[:, None] >> np.arange(nbr.shape[1], dtype=np.uint16)) & 1
-    return np.bitwise_or.reduce(nbr * inside, axis=1)
-
-
-def _connected_rows(nbr: np.ndarray) -> np.ndarray:
-    """Rows whose graph is connected: each round adds one BFS layer to the
-    set reached from vertex 0, and n - 1 rounds reach every vertex."""
-    reach = np.ones(nbr.shape[0], dtype=np.uint16)
-    for _ in range(nbr.shape[1] - 1):
-        reach |= _nbhd(nbr, reach)
-    return reach == (1 << nbr.shape[1]) - 1
-
-
-def _odd_cycle_rows(nbr: np.ndarray) -> np.ndarray:
-    """Rows whose graph has an odd cycle, i.e. is not bipartite.
-
-    The vertices reached from a root by walks of even and of odd length are
-    grown together; they overlap exactly when the root's component has an
-    odd cycle.  n rounds suffice: a root at distance d from an odd cycle of
-    length g reaches the cycle's nearest vertex by walks of length d and
-    d + g <= n.  Each component not yet reached is rooted at its lowest
-    vertex in turn.
-    """
-    rows, n = nbr.shape
-    even = np.zeros(rows, dtype=np.uint16)
-    odd = np.zeros(rows, dtype=np.uint16)
-    while True:
-        rest = ((1 << n) - 1) & ~(even | odd)
-        if not rest.any():
-            return (even & odd) != 0
-        even |= rest & (~rest + 1)
-        for _ in range(n):
-            even, odd = even | _nbhd(nbr, odd), odd | _nbhd(nbr, even)
-
-
-def _cycle_len_rows(nbr: np.ndarray) -> np.ndarray:
-    """Per row, the number of vertices left once leaves are peeled off
-    repeatedly: the length of the cycle of a connected graph with n edges."""
-    pop = _popcount()
-    rows, n = nbr.shape
-    vertex = (1 << np.arange(n)).astype(np.uint16)
-    alive = np.full(rows, (1 << n) - 1, dtype=np.uint16)
-    while True:
-        leaf = pop[nbr & alive[:, None]] == 1
-        leaves = np.bitwise_or.reduce(np.where(leaf, vertex, 0), axis=1) & alive
-        if not leaves.any():
-            return pop[alive]
-        alive &= ~leaves
-
-
-# -- candidate streams -------------------------------------------------------
-
-
-def _members(q: ClassQuery, masks: np.ndarray, nbr: np.ndarray, any_pendants: bool):
-    """The rows of a candidate block that belong to the class: degree screens
-    (edge count, pendant count unless ``any_pendants``, no isolated vertex)
-    first, then the exact connectivity, odd-cycle and girth tests on the
-    survivors."""
-    n = q.n
-    min_edges = 0
-    if q.require_connected:
-        min_edges = n - 1
-    if q.require_nonbipartite:
-        min_edges = max(min_edges, n if q.require_connected else 3)
-    degs = _popcount()[nbr]
-    keep = degs.sum(axis=1) >= 2 * min_edges
-    if not any_pendants:
-        keep &= (degs == 1).sum(axis=1) == q.k
-    if q.require_connected and n > 1:
-        keep &= degs.min(axis=1) >= 1
-    masks, nbr = masks[keep], nbr[keep]
-    ok = np.ones(masks.size, dtype=bool)
-    if q.require_connected:
-        ok &= _connected_rows(nbr)
-    if q.unicyclic_girth is not None:
-        ok &= _cycle_len_rows(nbr) == q.unicyclic_girth
-    elif q.require_nonbipartite:
-        ok &= _odd_cycle_rows(nbr)
-    return masks[ok], nbr[ok]
-
-
-@functools.cache
-def _rank_offsets(m: int, k: int) -> np.ndarray:
-    """offsets[i, a] = sum over a' < a of C(m-1-a', k-1-i).  Among the
-    k-subsets of 0..m-1 sharing entries 0..i-1, the last of them p, those
-    whose entry i is c come after offsets[i, c] - offsets[i, p+1] others."""
-    counts = [[math.comb(m - 1 - a, k - 1 - i) for a in range(m)] for i in range(k)]
-    offsets = np.zeros((k, m + 1), dtype=np.int64)
-    offsets[:, 1:] = np.cumsum(np.array(counts, dtype=np.int64), axis=1)
-    return offsets
-
-
-def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the lexicographic list of the k-subsets of 0..m-1."""
-    offsets = _rank_offsets(m, k)
-    rank = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((rank.size, k), dtype=np.int64)
-    least = np.zeros(rank.size, dtype=np.int64)  # smallest entry allowed next
-    for i in range(k):
-        skipped = offsets[i, least]
-        out[:, i] = np.searchsorted(offsets[i], rank + skipped, side="right") - 1
-        rank -= offsets[i, out[:, i]] - skipped
-        least = out[:, i] + 1
-    return out
-
-
-def _candidate_count(n: int, unicyclic: bool) -> int:
-    """The number C of labeled candidates at order n, refused over the cap."""
-    m_edges = n * (n - 1) // 2
-    total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
-    if total > CANDIDATE_CAP:
-        raise CapacityExceededError(
-            f"order {n} has 2^{math.log2(total):.1f} candidate edge subsets, "
-            f"over the cap of 2^{math.log2(CANDIDATE_CAP):.0f}"
-        )
-    return total
-
-
 def _shard_chunks(total: int, shard_index: int, shard_count: int):
     """Yield (start, stop) blocks of at most _CHUNK covering positions
     [total*s/W, total*(s+1)/W) of 0..total-1, for s = shard_index and
@@ -276,64 +137,54 @@ def _shard_chunks(total: int, shard_index: int, shard_count: int):
         yield start, min(start + _CHUNK, hi)
 
 
-def _candidates(n: int, unicyclic: bool, shard_index: int, shard_count: int):
-    """Yield the masks of candidate ranks [C*s/W, C*(s+1)/W) of the C at
-    order n, in rank order, in blocks."""
-    m_edges = n * (n - 1) // 2
-    edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
-    total = _candidate_count(n, unicyclic)
-    for start, stop in _shard_chunks(total, shard_index, shard_count):
-        if unicyclic:
-            # the name keeps this block's subsets alive while the next block
-            # is unranked: freed sooner, their memory goes back to the OS and
-            # every block faults it in again (7x the minor faults at n=8)
-            subsets = _unrank(m_edges, n, start, stop)
-            yield edge_bit[subsets].sum(axis=1)
-        else:
-            yield np.arange(start, stop, dtype=np.int64)
+# -- representatives -----------------------------------------------------------
 
 
-def _class_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Yield (masks, nbr, count) blocks of the labeled class members among
-    candidate ranks [C*s/W, C*(s+1)/W) of the class's C, in rank order;
-    count is the number of members in the block."""
-    unicyclic = q.unicyclic_girth is not None
-    for masks in _candidates(q.n, unicyclic, shard_index, shard_count):
-        kept, nbr = _members(q, masks, _nbr_rows(q.n, masks), any_pendants=False)
-        yield kept, nbr, kept.size
+@functools.cache
+def _connected(m: int) -> np.ndarray:
+    """The lowest masks of the connected graphs of order m, one per
+    isomorphism class, in increasing order.
+
+    A connected graph of order m >= 2 stays connected without some vertex (a
+    leaf of a spanning tree), so it is isomorphic to a connected graph of
+    order m - 1, labelled by its lowest mask, with vertex m - 1 joined to a
+    non-empty set of the others: column m - 1 of the mask.  The least of
+    these extensions not yet struck starts a class, and the class's whole
+    orbit is struck from the rest by binary search in its sorted masks
+    (``np.isin`` and ``np.unique`` would import ``numpy.ma``, about 20 ms).
+    A class's lowest mask need not be an extension, so the classes are
+    sorted at the end.
+    """
+    if m == 1:
+        return np.zeros(1, dtype=np.int64)
+    columns = np.arange(1, 1 << (m - 1), dtype=np.int64)
+    rest = np.sort((_connected(m - 1)[:, None] << (m - 1) | columns).ravel())
+    lowest = []
+    while rest.size:
+        orbit = np.sort(_orbit(m, int(rest[0])))
+        lowest.append(orbit[0])
+        found = orbit[np.searchsorted(orbit, rest).clip(max=orbit.size - 1)]
+        rest = rest[found != rest]
+    return np.sort(np.array(lowest, dtype=np.int64))
 
 
 @functools.cache
 def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
     """The connected non-bipartite graphs of order m, one per isomorphism
     class, in increasing order of the class's lowest mask: (that mask, its
-    automorphisms as rows of ``_permutations(m)``).
-
-    The labeled candidates are streamed once with the pendant screen
-    skipped.  They run in increasing mask order, so the first member not yet
-    struck is its orbit's minimum; it starts a class, and its orbit is
-    struck from a table of 2^C(m,2) bools indexed by mask.
-    """
-    query = ClassQuery(n=m, k=0)
-    struck = np.zeros(_candidate_count(m, False), dtype=bool)
-    cores = []
-    for masks in _candidates(m, False, 0, 1):
-        masks, _ = _members(query, masks, _nbr_rows(m, masks), any_pendants=True)
-        while True:
-            masks = masks[~struck[masks]]
-            if not masks.size:
-                break
-            lowest = int(masks[0])
-            orbit = _orbit(m, lowest)
-            struck[orbit] = True
-            cores.append((lowest, _permutations(m)[orbit == lowest]))
-    return tuple(cores)
+    automorphisms as rows of ``_permutations(m)``)."""
+    masks = _connected(m)
+    return tuple(
+        (lowest, _permutations(m)[_orbit(m, lowest) == lowest])
+        for lowest, graph in zip(masks.tolist(), _witness_graphs(m, masks))
+        if two_coloring(graph) is None
+    )
 
 
 @functools.cache
 def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """One graph per isomorphism class of the connected non-bipartite graphs
-    of order n with exactly k >= 1 pendant vertices: (edge-subset masks, the
+    of order n with exactly k >= 0 pendant vertices: (edge-subset masks, the
     number of labeled graphs in each class), ordered by core, then by
     placement.
 
@@ -348,7 +199,8 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``combinations_with_replacement`` order, and a class has
     n! / (|Stab(placement)| * prod of m_v!) labelings.  The core keeps
     labels 0..m-1; pendant m + t hangs from the t-th vertex of the
-    placement's multiset.
+    placement's multiset.  With k = 0 the one, empty, placement keeps the
+    cores without a leaf, each standing for n!/|Aut| labelings.
     """
     m = n - k
     m_edges = n * (n - 1) // 2
@@ -475,10 +327,16 @@ def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
     """Yield (masks, nbr, count) blocks of the class's representatives at
     positions [R*s/W, R*(s+1)/W) of its R, in ``_unicyclic_classes`` order
     for a unicyclic class and ``_representatives`` order otherwise; count is
-    the number of labeled graphs the block's classes hold.  A class over the
-    cap is refused, as on the labeled route."""
-    _candidate_count(q.n, q.unicyclic_girth is not None)
-    if q.unicyclic_girth is None:
+    the number of labeled graphs the block's classes hold.  A class above
+    its order cap is refused."""
+    unicyclic = q.unicyclic_girth is not None
+    cap = MAX_UNICYCLIC_ORDER if unicyclic else MAX_ORDER
+    if q.n > cap:
+        kind = "unicyclic" if unicyclic else "general"
+        raise CapacityExceededError(
+            f"order {q.n} is over the cap: {kind} classes are searched up to order {cap}"
+        )
+    if not unicyclic:
         masks, counts = _representatives(q.n, q.k)
     else:
         masks, pendants, counts = _unicyclic_classes(q.n, q.unicyclic_girth)
@@ -486,34 +344,6 @@ def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
     for start, stop in _shard_chunks(masks.size, shard_index, shard_count):
         block = masks[start:stop]
         yield block, _nbr_rows(q.n, block), int(counts[start:stop].sum())
-
-
-def _by_core(q: ClassQuery) -> bool:
-    """Whether the query's class is searched one isomorphism class at a
-    time: every unicyclic class, and the connected non-bipartite general
-    classes with pendants."""
-    general = q.k >= 1 and q.require_connected and q.require_nonbipartite
-    return q.unicyclic_girth is not None or general
-
-
-def enumerate_class(
-    q: ClassQuery,
-    visitor: Callable[[Graph], None],
-    *,
-    shard_index: int = 0,
-    shard_count: int = 1,
-) -> int:
-    """Visit every labeled graph of the class exactly once, deterministically.
-
-    Cheap vectorized screens (edge-count bounds, degree profile) run before
-    the exact connectivity/bipartiteness/girth checks.  Returns the count.
-    """
-    count = 0
-    for _, nbr, members in _class_stream(q, shard_index, shard_count):
-        for row in nbr.tolist():
-            visitor(Graph(q.n, tuple(row)))
-        count += members
-    return count
 
 
 # -- extremal search ---------------------------------------------------------
@@ -598,19 +428,29 @@ def _permutations(n: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int8, count=math.factorial(n) * n).reshape(-1, n)
 
 
-def _orbit(n: int, mask: int) -> np.ndarray:
-    """Masks of the images of one labeled graph under every relabelling."""
+@functools.lru_cache(maxsize=2)
+def _edge_images(n: int) -> np.ndarray:
+    """An (M, n!) table: row b holds the mask bit of edge b's image under
+    each relabelling in ``_permutations(n)`` (9 MB at n = 8).  An orbit is
+    then one gather and one OR-reduction: a cold ``_cores(7)`` took 1.0-1.4 s
+    OR-ing in the edge images one at a time and takes about 0.26 s so."""
     edges = _edge_list(n)
     m_edges = len(edges)
     bit = np.zeros((n, n), dtype=np.int64)
     for b, (i, j) in enumerate(edges):
         bit[i, j] = bit[j, i] = 1 << (m_edges - 1 - b)
     perms = _permutations(n)
-    image = np.zeros(perms.shape[0], dtype=np.int64)
+    images = np.zeros((m_edges, perms.shape[0]), dtype=np.int64)
     for b, (i, j) in enumerate(edges):
-        if (mask >> (m_edges - 1 - b)) & 1:
-            image |= bit[perms[:, i], perms[:, j]]
-    return image
+        images[b] = bit[perms[:, i], perms[:, j]]
+    return images
+
+
+def _orbit(n: int, mask: int) -> np.ndarray:
+    """Masks of the images of one labeled graph under every relabelling."""
+    m_edges = n * (n - 1) // 2
+    present = [b for b in range(m_edges) if (mask >> (m_edges - 1 - b)) & 1]
+    return np.bitwise_or.reduce(_edge_images(n)[present], axis=0)
 
 
 def _lowest_mask(n: int, mask: int) -> int:
@@ -654,28 +494,6 @@ def _witness_graphs(n: int, masks) -> tuple[Graph, ...]:
     return tuple(Graph(n, tuple(row)) for row in rows.tolist())
 
 
-def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
-    """One graph per isomorphism class of a labeled scan's witness masks,
-    each relabelled to the lowest mask of its orbit, in increasing order of
-    that mask.
-
-    The tie set may hold every labeled member of a class, so each class
-    strikes its whole orbit from the rest: W is isomorphic to R exactly when
-    mask(W) is the mask of some relabelling of R, looked up by binary search
-    in R's sorted orbit.  (``np.isin`` would go through ``np.unique``, whose
-    first call imports ``numpy.ma``, about 20 ms.)  The work grows with the
-    number of classes, not of tied graphs.
-    """
-    rest = np.sort(masks)
-    lowest = []
-    while rest.size:
-        orbit = np.sort(_orbit(n, int(rest[0])))
-        lowest.append(orbit[0])
-        found = orbit[np.searchsorted(orbit, rest).clip(max=orbit.size - 1)]
-        rest = rest[found != rest]
-    return _witness_graphs(n, lowest)
-
-
 def _scan(n: int, tie_tol: float, shards) -> tuple[int, dict[str, tuple[float, np.ndarray]]]:
     """Merge the scans of some shards' block streams: the number of labeled
     graphs they stand for and, per objective, the best value with the masks
@@ -693,22 +511,17 @@ def _scan(n: int, tie_tol: float, shards) -> tuple[int, dict[str, tuple[float, n
 @functools.lru_cache(maxsize=32)
 def _run_scan(q: ClassQuery, tie_tol: float, shards: int):
     """The query's ``_scan``, cached: one sweep serves both objectives."""
-    stream = _representative_stream if _by_core(q) else _class_stream
-    return _scan(q.n, tie_tol, [stream(q, s, shards) for s in range(shards)])
+    return _scan(q.n, tie_tol, [_representative_stream(q, s, shards) for s in range(shards)])
 
 
 @functools.lru_cache(maxsize=32)
 def _search(q: ClassQuery, tie_tol: float, shards: int, objective: str) -> SearchResult:
     """One objective's result, with only that objective's witnesses named.
-    The by-class generators emit pairwise non-isomorphic representatives,
-    so there each witness is only relabelled to its lowest mask; a labeled
-    scan's witnesses are deduplicated."""
+    The generators emit pairwise non-isomorphic representatives, so each
+    witness is only relabelled to its lowest mask."""
     count, ties = _run_scan(q, tie_tol, shards)
     best, masks = ties[objective]
-    if _by_core(q):
-        witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, m) for m in masks.tolist()])
-    else:
-        witnesses = _dedup_witnesses(q.n, masks)
+    witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, m) for m in masks.tolist()])
     return SearchResult(objective, best, witnesses, count)
 
 

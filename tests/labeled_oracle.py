@@ -1,0 +1,283 @@
+"""The labeled route: a slow, independent reference for ``qminlab.search``.
+
+``qminlab.search`` eigensolves one representative per isomorphism class.
+This module scans a class labeled graph by labeled graph instead, so the
+tests can compare the two on every class small enough to scan.
+
+Masks are edge subsets of K_n, laid out as in ``qminlab.search``.  A class
+has C labeled candidates, each with a rank: a general class's candidates
+are the 2^M masks in increasing order (rank = mask), a unicyclic class's
+are the C(M, n) n-edge subsets in lexicographic combination order.  Shard s
+of W visits the candidate ranks [C*s/W, C*(s+1)/W).  Candidates travel in
+blocks; degree screens run first, then exact connectivity, odd-cycle and
+cycle-length tests written here apart from ``qminlab.graphs``.  Extremal
+values over labeled graphs and over isomorphism classes coincide, so a scan
+needs no isomorphism rejection; its tied witnesses are deduplicated by
+striking whole orbits of n! relabellings (``_dedup_witnesses``).
+
+``LabeledQuery`` also reads the two relaxations the search does not offer
+(members may be disconnected, or bipartite), which some tests enumerate.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from qminlab import search
+from qminlab.errors import InvalidParameterError
+from qminlab.graphs import Graph
+from qminlab.search import ClassQuery
+
+
+@dataclass(frozen=True)
+class LabeledQuery:
+    """A graph-class predicate: order, exact pendant count, connectivity,
+    non-bipartiteness, and optionally "unicyclic with this odd girth"."""
+
+    n: int
+    k: int
+    unicyclic_girth: Optional[int] = None
+    require_connected: bool = True
+    require_nonbipartite: bool = True
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidParameterError(f"order must be >= 1, got {self.n}")
+        if not 0 <= self.k <= self.n:
+            raise InvalidParameterError(f"pendant count {self.k} out of range")
+        if self.require_nonbipartite and (self.n < 3 or self.k > self.n - 3):
+            raise InvalidParameterError(
+                f"an odd cycle needs 3 non-pendant vertices: k={self.k}, n={self.n}"
+            )
+        if self.unicyclic_girth is not None:
+            g = self.unicyclic_girth
+            if g < 3 or g % 2 == 0 or g > self.n:
+                raise InvalidParameterError(f"unicyclic girth must be odd, 3..n, got {g}")
+            if not self.require_connected:
+                raise InvalidParameterError("unicyclic graphs are connected by definition")
+
+
+def _labeled(q) -> LabeledQuery:
+    """A ``ClassQuery`` read as the ``LabeledQuery`` of the same class."""
+    if isinstance(q, LabeledQuery):
+        return q
+    return LabeledQuery(q.n, q.k, q.unicyclic_girth)
+
+
+# -- batch graph predicates --------------------------------------------------
+
+
+def _nbhd(nbr: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Per row, the union of the neighbourhoods of the vertices in ``sets``."""
+    inside = (sets[:, None] >> np.arange(nbr.shape[1], dtype=np.uint16)) & 1
+    return np.bitwise_or.reduce(nbr * inside, axis=1)
+
+
+def _connected_rows(nbr: np.ndarray) -> np.ndarray:
+    """Rows whose graph is connected: each round adds one BFS layer to the
+    set reached from vertex 0, and n - 1 rounds reach every vertex."""
+    reach = np.ones(nbr.shape[0], dtype=np.uint16)
+    for _ in range(nbr.shape[1] - 1):
+        reach |= _nbhd(nbr, reach)
+    return reach == (1 << nbr.shape[1]) - 1
+
+
+def _odd_cycle_rows(nbr: np.ndarray) -> np.ndarray:
+    """Rows whose graph has an odd cycle, i.e. is not bipartite.
+
+    The vertices reached from a root by walks of even and of odd length are
+    grown together; they overlap exactly when the root's component has an
+    odd cycle.  n rounds suffice: a root at distance d from an odd cycle of
+    length g reaches the cycle's nearest vertex by walks of length d and
+    d + g <= n.  Each component not yet reached is rooted at its lowest
+    vertex in turn.
+    """
+    rows, n = nbr.shape
+    even = np.zeros(rows, dtype=np.uint16)
+    odd = np.zeros(rows, dtype=np.uint16)
+    while True:
+        rest = ((1 << n) - 1) & ~(even | odd)
+        if not rest.any():
+            return (even & odd) != 0
+        even |= rest & (~rest + 1)
+        for _ in range(n):
+            even, odd = even | _nbhd(nbr, odd), odd | _nbhd(nbr, even)
+
+
+def _cycle_len_rows(nbr: np.ndarray) -> np.ndarray:
+    """Per row, the number of vertices left once leaves are peeled off
+    repeatedly: the length of the cycle of a connected graph with n edges."""
+    pop = search._popcount()
+    rows, n = nbr.shape
+    vertex = (1 << np.arange(n)).astype(np.uint16)
+    alive = np.full(rows, (1 << n) - 1, dtype=np.uint16)
+    while True:
+        leaf = pop[nbr & alive[:, None]] == 1
+        leaves = np.bitwise_or.reduce(np.where(leaf, vertex, 0), axis=1) & alive
+        if not leaves.any():
+            return pop[alive]
+        alive &= ~leaves
+
+
+# -- candidate streams -------------------------------------------------------
+
+
+def _members(q, masks: np.ndarray, nbr: np.ndarray, any_pendants: bool):
+    """The rows of a candidate block that belong to the class: degree screens
+    (edge count, pendant count unless ``any_pendants``, no isolated vertex)
+    first, then the exact connectivity, odd-cycle and girth tests on the
+    survivors."""
+    q = _labeled(q)
+    n = q.n
+    min_edges = 0
+    if q.require_connected:
+        min_edges = n - 1
+    if q.require_nonbipartite:
+        min_edges = max(min_edges, n if q.require_connected else 3)
+    degs = search._popcount()[nbr]
+    keep = degs.sum(axis=1) >= 2 * min_edges
+    if not any_pendants:
+        keep &= (degs == 1).sum(axis=1) == q.k
+    if q.require_connected and n > 1:
+        keep &= degs.min(axis=1) >= 1
+    masks, nbr = masks[keep], nbr[keep]
+    ok = np.ones(masks.size, dtype=bool)
+    if q.require_connected:
+        ok &= _connected_rows(nbr)
+    if q.unicyclic_girth is not None:
+        ok &= _cycle_len_rows(nbr) == q.unicyclic_girth
+    elif q.require_nonbipartite:
+        ok &= _odd_cycle_rows(nbr)
+    return masks[ok], nbr[ok]
+
+
+@functools.cache
+def _rank_offsets(m: int, k: int) -> np.ndarray:
+    """offsets[i, a] = sum over a' < a of C(m-1-a', k-1-i).  Among the
+    k-subsets of 0..m-1 sharing entries 0..i-1, the last of them p, those
+    whose entry i is c come after offsets[i, c] - offsets[i, p+1] others."""
+    counts = [[math.comb(m - 1 - a, k - 1 - i) for a in range(m)] for i in range(k)]
+    offsets = np.zeros((k, m + 1), dtype=np.int64)
+    offsets[:, 1:] = np.cumsum(np.array(counts, dtype=np.int64), axis=1)
+    return offsets
+
+
+def _unrank(m: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the lexicographic list of the k-subsets of 0..m-1."""
+    offsets = _rank_offsets(m, k)
+    rank = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((rank.size, k), dtype=np.int64)
+    least = np.zeros(rank.size, dtype=np.int64)  # smallest entry allowed next
+    for i in range(k):
+        skipped = offsets[i, least]
+        out[:, i] = np.searchsorted(offsets[i], rank + skipped, side="right") - 1
+        rank -= offsets[i, out[:, i]] - skipped
+        least = out[:, i] + 1
+    return out
+
+
+def _candidates(n: int, unicyclic: bool, shard_index: int, shard_count: int):
+    """Yield the masks of candidate ranks [C*s/W, C*(s+1)/W) of the C at
+    order n, in rank order, in blocks."""
+    m_edges = n * (n - 1) // 2
+    edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
+    total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
+    for start, stop in search._shard_chunks(total, shard_index, shard_count):
+        if unicyclic:
+            # the name keeps this block's subsets alive while the next block
+            # is unranked: freed sooner, their memory goes back to the OS and
+            # every block faults it in again (7x the minor faults at n=8)
+            subsets = _unrank(m_edges, n, start, stop)
+            yield edge_bit[subsets].sum(axis=1)
+        else:
+            yield np.arange(start, stop, dtype=np.int64)
+
+
+def _class_stream(q, shard_index: int, shard_count: int):
+    """Yield (masks, nbr, count) blocks of the labeled class members among
+    candidate ranks [C*s/W, C*(s+1)/W) of the class's C, in rank order;
+    count is the number of members in the block."""
+    unicyclic = q.unicyclic_girth is not None
+    for masks in _candidates(q.n, unicyclic, shard_index, shard_count):
+        kept, nbr = _members(q, masks, search._nbr_rows(q.n, masks), any_pendants=False)
+        yield kept, nbr, kept.size
+
+
+def enumerate_class(
+    q,
+    visitor: Callable[[Graph], None],
+    *,
+    shard_index: int = 0,
+    shard_count: int = 1,
+) -> int:
+    """Visit every labeled graph of the class exactly once, deterministically.
+    Returns the count."""
+    count = 0
+    for _, nbr, members in _class_stream(q, shard_index, shard_count):
+        for row in nbr.tolist():
+            visitor(Graph(q.n, tuple(row)))
+        count += members
+    return count
+
+
+# -- results -------------------------------------------------------------------
+
+
+def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
+    """One graph per isomorphism class of a labeled scan's witness masks,
+    each relabelled to the lowest mask of its orbit, in increasing order of
+    that mask.
+
+    The tie set may hold every labeled member of a class, so each class
+    strikes its whole orbit from the rest: W is isomorphic to R exactly when
+    mask(W) is the mask of some relabelling of R, looked up by binary search
+    in R's sorted orbit.
+    """
+    rest = np.sort(masks)
+    lowest = []
+    while rest.size:
+        orbit = np.sort(search._orbit(n, int(rest[0])))
+        lowest.append(orbit[0])
+        found = orbit[np.searchsorted(orbit, rest).clip(max=orbit.size - 1)]
+        rest = rest[found != rest]
+    return search._witness_graphs(n, lowest)
+
+
+def labeled_result(q: ClassQuery, objective: str, blocks) -> search.SearchResult:
+    """The labeled route's result: every labeled member of some
+    ``_class_stream`` blocks eigensolved, the witnesses deduplicated."""
+    count, ties = search._scan(q.n, search.DEFAULT_TIE_TOL, [blocks])
+    best, masks = ties[objective]
+    return search.SearchResult(objective, best, _dedup_witnesses(q.n, masks), count)
+
+
+@functools.cache
+def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The connected non-bipartite graphs of order m, one per isomorphism
+    class, in increasing order of the class's lowest mask: (that mask, its
+    automorphisms as rows of ``search._permutations(m)``).
+
+    The labeled candidates are streamed once with the pendant screen
+    skipped.  They run in increasing mask order, so the first member not yet
+    struck is its orbit's minimum; it starts a class, and its orbit is
+    struck from a table of 2^C(m,2) bools indexed by mask.
+    """
+    query = LabeledQuery(n=m, k=0)
+    struck = np.zeros(1 << m * (m - 1) // 2, dtype=bool)
+    cores = []
+    for masks in _candidates(m, False, 0, 1):
+        masks, _ = _members(query, masks, search._nbr_rows(m, masks), any_pendants=True)
+        while True:
+            masks = masks[~struck[masks]]
+            if not masks.size:
+                break
+            lowest = int(masks[0])
+            orbit = search._orbit(m, lowest)
+            struck[orbit] = True
+            cores.append((lowest, search._permutations(m)[orbit == lowest]))
+    return tuple(cores)

@@ -107,6 +107,23 @@ def test_verify_capacity_exit(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("max", "--n", "9", "--k", "1"), "general classes are searched up to order 8"),
+        (
+            ("unicyclic-min", "--n", "10", "--k", "1", "--g", "3"),
+            "unicyclic classes are searched up to order 9",
+        ),
+    ],
+)
+def test_verify_names_the_order_cap(capsys, argv, cap):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: order {argv[2]} is over the cap: {cap}" in err
+
+
 def test_scan_alpha_csv(capsys):
     code, out, err = run(
         capsys, "scan", "alpha", "--n", "15", "--k", "1..2", "--g", "3,5"

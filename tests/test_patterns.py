@@ -28,7 +28,10 @@ from qminlab import (
     split_branches,
     structure_report,
 )
-from qminlab.search import ClassQuery, enumerate_class
+from qminlab import search
+from qminlab.search import ClassQuery
+
+from labeled_oracle import enumerate_class
 
 
 def induced_is_bipartite(g, members):
@@ -129,7 +132,8 @@ def test_nonbipartite_branch_rejected():
 
 def test_branch_sweep_small_classes():
     """Every bipartite branch at every cut vertex of every small class member
-    passes the dichotomy; exhaustive to order 5, seeded samples at 6 and 7."""
+    passes the dichotomy: every labeled member to order 5, every class at
+    orders 6 and 7 through one representative, and seeded samples there."""
 
     def check_graph(g):
         _, x, _ = q_min_of(g)
@@ -144,6 +148,10 @@ def test_branch_sweep_small_classes():
     for n in range(4, 6):
         for k in range(1, n - 2):
             enumerate_class(ClassQuery(n=n, k=k), check_graph)
+    for n in (6, 7):
+        for k in range(1, n - 2):
+            for g in search._witness_graphs(n, search._representatives(n, k)[0]):
+                check_graph(g)
 
     rng = random.Random(101)
     for n, quota in ((6, 500), (7, 400)):

@@ -27,7 +27,6 @@ from qminlab import (
     complete_graph,
     cycle_graph,
     encode_graph6,
-    enumerate_class,
     find_extremal,
     interlacing_check,
     is_isomorphic,
@@ -40,6 +39,9 @@ from qminlab import (
 from qminlab import search
 from qminlab.charpoly import charpoly_oracle
 from qminlab.graphs import girth, is_connected, odd_girth, two_coloring
+
+import labeled_oracle as labeled
+from labeled_oracle import LabeledQuery, enumerate_class
 
 
 def brute_force_class_count(n, k, unicyclic_girth=None, require_connected=True):
@@ -100,26 +102,30 @@ def brute_force_class_count(n, k, unicyclic_girth=None, require_connected=True):
 # -- enumeration ---------------------------------------------------------------
 
 
+def _check_count(q, expected):
+    """Both the labeled oracle and the by-class search count the class's
+    labeled graphs as the brute force does."""
+    assert enumerate_class(q, lambda g: None) == expected, q
+    assert find_extremal(q, "min").graphs_examined == expected, q
+
+
 def test_count_triangle_with_pendant():
     oracle = brute_force_class_count(4, 1)
     assert oracle == 12
-    assert enumerate_class(ClassQuery(n=4, k=1), lambda g: None) == oracle
+    _check_count(ClassQuery(n=4, k=1), oracle)
 
 
 def test_count_labeled_five_cycles():
     oracle = brute_force_class_count(5, 0, unicyclic_girth=5)
     assert oracle == 12
-    q = ClassQuery(n=5, k=0, unicyclic_girth=5)
-    assert enumerate_class(q, lambda g: None) == oracle
+    _check_count(ClassQuery(n=5, k=0, unicyclic_girth=5), oracle)
 
 
 def test_counts_match_oracle_on_more_classes():
     for n, k in [(5, 1), (5, 2), (4, 0)]:
-        expected = brute_force_class_count(n, k)
-        assert enumerate_class(ClassQuery(n=n, k=k), lambda g: None) == expected
+        _check_count(ClassQuery(n=n, k=k), brute_force_class_count(n, k))
     expected = brute_force_class_count(6, 1, unicyclic_girth=3)
-    q = ClassQuery(n=6, k=1, unicyclic_girth=3)
-    assert enumerate_class(q, lambda g: None) == expected
+    _check_count(ClassQuery(n=6, k=1, unicyclic_girth=3), expected)
 
 
 def test_count_disconnected_nonbipartite_classes():
@@ -127,7 +133,7 @@ def test_count_disconnected_nonbipartite_classes():
     for n, k in [(5, 0), (5, 1), (6, 1), (6, 2)]:
         expected = brute_force_class_count(n, k, require_connected=False)
         assert expected > brute_force_class_count(n, k)  # disconnected members exist
-        q = ClassQuery(n=n, k=k, require_connected=False)
+        q = LabeledQuery(n=n, k=k, require_connected=False)
         assert enumerate_class(q, lambda g: None) == expected
 
 
@@ -139,9 +145,9 @@ def _graph_of_mask(n, mask):
 
 def _check_batch_predicates(n, masks):
     nbr = search._nbr_rows(n, np.asarray(masks, dtype=np.int64))
-    connected = search._connected_rows(nbr).tolist()
-    odd_cycle = search._odd_cycle_rows(nbr).tolist()
-    cycle_len = search._cycle_len_rows(nbr).tolist()
+    connected = labeled._connected_rows(nbr).tolist()
+    odd_cycle = labeled._odd_cycle_rows(nbr).tolist()
+    cycle_len = labeled._cycle_len_rows(nbr).tolist()
     cycles = []
     for at, mask in enumerate(masks):
         g = _graph_of_mask(n, mask)
@@ -179,8 +185,6 @@ def test_query_validation():
         ClassQuery(n=4, k=4)  # no room for an odd cycle
     with pytest.raises(InvalidParameterError):
         ClassQuery(n=6, k=1, unicyclic_girth=4)  # even girth
-    with pytest.raises(InvalidParameterError):
-        ClassQuery(n=6, k=1, unicyclic_girth=3, require_connected=False)
     ClassQuery(n=5, k=0)  # pendant-free classes are allowed
 
 
@@ -255,7 +259,7 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
     total = math.comb(36, 9)
     seen = []
     search._half_tables.cache_clear()
-    search._rank_offsets.cache_clear()
+    labeled._rank_offsets.cache_clear()
     tracemalloc.start()
     try:
         enumerate_class(
@@ -281,7 +285,7 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
 
 
 def _rank(m, k, masks):
-    """Reference inverse of ``search._unrank``: the lexicographic ranks of
+    """Reference inverse of ``labeled._unrank``: the lexicographic ranks of
     the k-edge subsets with these masks among the k-subsets of 0..m-1.
 
     Lexicographic order of equal-size subsets is decreasing mask order, so
@@ -305,19 +309,20 @@ def test_rank_inverts_unrank(n):
     lo = 0 if total <= 1 << 17 else total // 3  # a window at order 9
     hi = min(total, lo + (1 << 17))
     edge_bit = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    masks = edge_bit[search._unrank(m, n, lo, hi)].sum(axis=1)
+    masks = edge_bit[labeled._unrank(m, n, lo, hi)].sum(axis=1)
     assert (_rank(m, n, masks) == np.arange(lo, hi)).all()
     assert (np.diff(masks) < 0).all()  # lexicographic order is decreasing mask order
 
 
 def test_capacity_caps():
-    # 2^36 and C(45, 10) candidates are over the cap of 2^28
-    with pytest.raises(CapacityExceededError):
-        enumerate_class(ClassQuery(n=9, k=1), lambda g: None)
-    with pytest.raises(CapacityExceededError):  # searched by core, refused all the same
-        find_extremal(ClassQuery(n=9, k=2), "min")
-    with pytest.raises(CapacityExceededError):
-        enumerate_class(ClassQuery(n=10, k=1, unicyclic_girth=3), lambda g: None)
+    # general classes are searched up to order 8, unicyclic ones up to 9
+    for q, cap in (
+        (ClassQuery(n=9, k=1), 8),
+        (ClassQuery(n=9, k=2), 8),  # its cores, of order 7, exist: refused all the same
+        (ClassQuery(n=10, k=1, unicyclic_girth=3), 9),
+    ):
+        with pytest.raises(CapacityExceededError, match=f"up to order {cap}"):
+            find_extremal(q, "min")
 
 
 # -- cores plus pendant placements ------------------------------------------------
@@ -325,10 +330,11 @@ def test_capacity_caps():
 
 def test_core_class_counts():
     # connected graphs (OEIS A001349) minus connected bipartite ones (A005142)
-    connected = [2, 6, 21, 112, 853]
+    connected = [1, 1, 2, 6, 21, 112, 853]
+    assert [search._connected(m).size for m in range(1, 8)] == connected
     bipartite = [1, 3, 5, 17, 44]
     counts = [len(search._cores(m)) for m in range(3, 8)]
-    assert counts == [c - b for c, b in zip(connected, bipartite)] == [1, 3, 16, 95, 809]
+    assert counts == [c - b for c, b in zip(connected[2:], bipartite)] == [1, 3, 16, 95, 809]
     for m in range(3, 7):
         for core, auts in search._cores(m):
             orbit = search._orbit(m, core)
@@ -336,20 +342,21 @@ def test_core_class_counts():
             assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
 
 
-def _labeled_result(q, objective, blocks):
-    """The labeled route: every labeled member of the blocks eigensolved."""
-    count, ties = search._scan(q.n, search.DEFAULT_TIE_TOL, [blocks])
-    best, masks = ties[objective]
-    return search.SearchResult(objective, best, search._dedup_witnesses(q.n, masks), count)
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_cores_match_labeled_scan(m):
+    # the vertex-adding build against the labeled scan of every mask
+    got, want = search._cores(m), labeled._cores(m)
+    assert [core for core, _ in got] == [core for core, _ in want]
+    for (_, got_auts), (_, want_auts) in zip(got, want):
+        assert np.array_equal(got_auts, want_auts)
 
 
 def _check_core_route_against_labeled_scan(q, shard_counts, blocks=None):
-    assert search._by_core(q)
-    blocks = list(search._class_stream(q, 0, 1) if blocks is None else blocks)
-    labeled = {obj: _labeled_result(q, obj, blocks) for obj in ("min", "max")}
+    blocks = list(labeled._class_stream(q, 0, 1) if blocks is None else blocks)
+    results = {obj: labeled.labeled_result(q, obj, blocks) for obj in ("min", "max")}
     for shards in shard_counts:
         for objective in ("min", "max"):
-            want = labeled[objective]
+            want = results[objective]
             got = find_extremal(q, objective, shards=shards)
             assert got.graphs_examined == want.graphs_examined, (q, shards)
             assert [encode_graph6(w) for w in got.witnesses] == [
@@ -366,7 +373,9 @@ def _check_core_route_against_labeled_scan(q, shard_counts, blocks=None):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_core_route_matches_labeled_scan(n):
-    for k in range(1, n - 2):
+    # k = 0 goes through the leafless cores; at n = 7 its 2^21 labeled
+    # candidates would make this the slowest test by far
+    for k in range(0 if n < 7 else 1, n - 2):
         _check_core_route_against_labeled_scan(ClassQuery(n=n, k=k), (1, 3, 4))
 
 
@@ -387,8 +396,8 @@ def test_unicyclic_core_route_matches_labeled_scan_at_order_eight(g):
     # pendant count, serves every k
     q = ClassQuery(n=8, k=0, unicyclic_girth=g)
     by_k = {}
-    for masks in search._candidates(8, True, 0, 1):
-        masks, nbr = search._members(q, masks, search._nbr_rows(8, masks), any_pendants=True)
+    for masks in labeled._candidates(8, True, 0, 1):
+        masks, nbr = labeled._members(q, masks, search._nbr_rows(8, masks), any_pendants=True)
         pendants = (search._popcount()[nbr] == 1).sum(axis=1)
         for k in range(6):
             at = pendants == k
@@ -396,23 +405,6 @@ def test_unicyclic_core_route_matches_labeled_scan_at_order_eight(g):
     for k in range(6):
         q = ClassQuery(n=8, k=k, unicyclic_girth=g)
         _check_core_route_against_labeled_scan(q, (1,), by_k[k])
-
-
-def test_unicyclic_core_route_unranks_only_at_core_order(monkeypatch):
-    orders = []
-    unrank = search._unrank
-
-    def spy(m, k, lo, hi):
-        orders.append(k)
-        return unrank(m, k, lo, hi)
-
-    monkeypatch.setattr(search, "_unrank", spy)
-    for cache in (search._unicyclic_classes, search._run_scan, search._search):
-        cache.cache_clear()
-    for k, g in ((0, 7), (2, 3)):
-        res = find_extremal(ClassQuery(n=7, k=k, unicyclic_girth=g), "min", shards=3)
-        assert res.graphs_examined > 0
-    assert orders == []  # a unicyclic search enumerates no labeled candidates
 
 
 def _labeled_unicyclic(m, g):
@@ -488,7 +480,7 @@ def test_lowest_mask_matches_orbit_minimum():
         for g in range(3, n + 1):
             graphs += [(n, mask) for mask in search._unicyclic_classes(n, g)[0].tolist()]
     for n in range(4, 8):
-        for k in range(1, n - 2):
+        for k in range(0, n - 2):
             graphs += [(n, mask) for mask in search._representatives(n, k)[0].tolist()]
     rng = random.Random(2024)
     for n in range(2, 9):
@@ -510,7 +502,7 @@ def test_generators_emit_one_graph_per_class():
     for n in range(4, 8):
         lowest = [
             search._lowest_mask(n, mask)
-            for k in range(1, n - 2)
+            for k in range(0, n - 2)
             for mask in search._representatives(n, k)[0].tolist()
         ]
         assert len(set(lowest)) == len(lowest), n
@@ -536,6 +528,7 @@ def test_sweeps_do_not_import_numpy_ma():
     code = (
         "import sys\n"
         "from qminlab import ClassQuery, find_extremal\n"
+        "find_extremal(ClassQuery(n=6, k=0), 'min')\n"
         "find_extremal(ClassQuery(n=7, k=2), 'min')\n"
         "find_extremal(ClassQuery(n=8, k=1, unicyclic_girth=3), 'min')\n"
         "assert 'numpy.ma' not in sys.modules, 'a sweep imported numpy.ma'\n"
@@ -614,11 +607,11 @@ def _pairwise_dedup(n, masks):
 )
 def test_orbit_dedup_matches_pairwise_isomorphism(query):
     # the labeled tie set, which holds every labeling of each tied class
-    blocks = search._class_stream(query, 0, 1)
+    blocks = labeled._class_stream(query, 0, 1)
     _, ties = search._scan_shard(query.n, search.DEFAULT_TIE_TOL, blocks)
     for objective in ("min", "max"):
         _, masks, _ = search._keep_ties(objective, search.DEFAULT_TIE_TOL, *ties[objective])
-        reps = search._dedup_witnesses(query.n, masks)
+        reps = labeled._dedup_witnesses(query.n, masks)
         expected = _pairwise_dedup(query.n, masks.tolist())
         assert [encode_graph6(g) for g in reps] == [encode_graph6(g) for g in expected]
 

@@ -25,8 +25,10 @@ from qminlab import (
     structure_report,
 )
 from qminlab.charpoly import charpoly_oracle
-from qminlab.search import ClassQuery, enumerate_class
+from qminlab.search import ClassQuery
 from qminlab.spectra import _least_pair
+
+from labeled_oracle import LabeledQuery, enumerate_class
 
 SQRT5 = math.sqrt(5)
 SQRT17 = math.sqrt(17)
@@ -125,12 +127,12 @@ def test_psd_and_bipartite_zero_over_small_orders():
     for n in range(2, 7):
         graphs = []
         enumerate_class(
-            ClassQuery(n=n, k=0, require_connected=True, require_nonbipartite=False),
+            LabeledQuery(n=n, k=0, require_connected=True, require_nonbipartite=False),
             graphs.append,
         )
         for k in range(1, n + 1):
             try:
-                query = ClassQuery(
+                query = LabeledQuery(
                     n=n, k=k, require_connected=True, require_nonbipartite=False
                 )
             except InvalidParameterError:
