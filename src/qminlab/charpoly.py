@@ -7,7 +7,15 @@ Faddeev-LeVerrier recurrence, and the smallest real root is bisected to
 root and keeps the lower half if it does.  Every answer is exact, so the
 bisection points, and the float returned, depend on the polynomial alone.
 
-All arithmetic is on Python integers.  Rational or float coefficients are
+Int64 coefficients.  With ||A|| the largest row sum of |A| and e >= max|M|,
+every partial sum of an entry of A (M + cI) is at most ||A|| (e + |c|), and
+every partial sum of its trace at most n times that.  The recurrence carries
+e as a Python int (refreshed from the array when it grows too large) and runs
+on int64 while n ||A|| (e + |c|) < 2^62, so no int64 sum can overflow; from
+the first step where the bound fails it continues on Python ints.  Either
+way every entry is the exact integer, so the coefficients are the same.
+
+Root isolation uses Python integers only.  Rational or float coefficients are
 first scaled to integers by a positive factor; the Sturm chain comes from
 integer pseudo-remainders scaled by |lc|^(delta+1), and each chain member is
 divided by its positive content.  Every member is therefore a positive
@@ -27,7 +35,8 @@ vanishes and V(m) reads 0, so V(lo) - V(m) reads at least the true count,
 which is at least 1 as m is a root.  lo is never a root: it starts below
 every root and moves only past intervals found root-free.  So the step's
 test V(lo) - V(mid) >= 1 answers as it must even when mid is a multiple
-root.
+root.  V(lo) is read at -infinity from the leading terms: no root lies at or
+below lo, so V is constant there.
 
 Certified bracket.  np.roots of the float square-free part (a companion
 matrix of the polynomial, never the matrix being checked) estimates the
@@ -41,6 +50,14 @@ mid exactly when s, whose only root in (L, H] is the simple root r, vanishes
 there or has the sign opposite to s(L).  Each answer is the one the chain
 would give, so the bracket cannot change the result.  Without a finite
 estimate, or when a certificate fails, every step asks the chain.
+
+Final cell.  Bisecting J times cuts the Cauchy interval into 2^J cells
+(y_i, y_i+1] of a fixed dyadic grid, J the fewest halvings that reach the
+width, and ends on the one cell with y_i < r <= y_i+1; the float returned is
+its midpoint.  That cell depends on r alone, so any exact way of finding it
+returns the same float.  With a certified bracket the search starts at the
+cell of x and gallops outward, then halves; each probe "r <= y?" is decided
+as above, by comparison with L and H or by one sign of s.
 """
 
 from __future__ import annotations
@@ -53,6 +70,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 ROOT_WIDTH = 1e-12
+_INT64_SAFE = 2**62  # n * (entry bound) below this: no int64 sum can overflow
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -66,7 +84,8 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def _as_int_matrix(m) -> np.ndarray:
-    """``m`` as an object array of Python ints (exact, cannot overflow)."""
+    """``m`` as an exact integer array: int64 when every entry fits, else an
+    object array of Python ints."""
     try:
         arr = np.asarray(m)
     except ValueError:
@@ -79,9 +98,9 @@ def _as_int_matrix(m) -> np.ndarray:
     if kind == "b" or (
         kind == "f" and (np.abs(arr) < 2.0**63).all() and (np.trunc(arr) == arr).all()
     ):
-        arr, kind = arr.astype(np.int64), "i"  # finite, integral and in range: exact
+        return arr.astype(np.int64)  # finite, integral and in range: exact
     if kind in "iu":
-        return arr.astype(object)  # Python ints
+        return arr.astype(np.int64 if np.can_cast(arr.dtype, np.int64) else object)
     ints = []  # complex or object entries, or floats that fail the check above
     for x in arr.ravel().tolist():
         num, den = _ratio(x)
@@ -96,18 +115,31 @@ def charpoly_coeffs(m) -> list[int]:
 
     Faddeev-LeVerrier: M_1 = A, c_1 = -tr M_1, then
     M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k (division exact).
+    Runs on int64 while the bound in the module docstring rules out
+    overflow, on Python ints from the first step where it does not.
     """
     a = _as_int_matrix(m)
     n = a.shape[0]
-    diagonal = np.arange(n)
+    if a.dtype != object:
+        entry = max(int(a.max(initial=0)), -int(a.min(initial=0)))  # max|M_k|, k = 1
+        if n * entry < _INT64_SAFE:
+            norm = int(np.abs(a).sum(axis=1).max(initial=0))  # max row sum of |A|
+        else:
+            a = a.astype(object)
     coeffs = [1]
-    mk = a
+    mk = a.copy()
     for k in range(1, n + 1):
         if k > 1:
-            shifted = mk.copy()
-            shifted[diagonal, diagonal] += coeffs[-1]
-            mk = a.dot(shifted)
-        ck, rem = divmod(-int(mk.trace()), k)
+            if a.dtype != object:
+                bound = norm * (entry + abs(coeffs[-1]))
+                if n * bound >= _INT64_SAFE:  # tighten with the measured max|M_{k-1}|
+                    bound = norm * (int(np.abs(mk).max()) + abs(coeffs[-1]))
+                if n * bound >= _INT64_SAFE:
+                    a, mk = a.astype(object), mk.astype(object)
+                entry = bound
+            mk.reshape(-1)[:: n + 1] += coeffs[-1]
+            mk = a.dot(mk)
+        ck, rem = divmod(-sum(mk.ravel().tolist()[:: n + 1]), k)
         if rem:
             raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
@@ -205,10 +237,10 @@ def _root_estimate(squarefree) -> float | None:
 
 
 def _certified_bracket(chain, v_lo: int, squarefree):
-    """Dyadic L < H around the estimate, certified by the chain to hold the
+    """Dyadic L < H around the estimate x, certified by the chain to hold the
     smallest root r in (L, H] and no other distinct root below H; returns
-    (L, H, sign of the square-free part at L) with L and H as exact ratios,
-    or None."""
+    (x, L, H, sign of the square-free part at L) with x, L and H as exact
+    ratios, or None."""
     x = _root_estimate(squarefree)
     if x is None:
         return None
@@ -219,7 +251,7 @@ def _certified_bracket(chain, v_lo: int, squarefree):
     low, high = low.as_integer_ratio(), high.as_integer_ratio()
     if _sign_changes(chain, *low) != v_lo or v_lo - _sign_changes(chain, *high) != 1:
         return None
-    return low, high, 1 if _scaled_value(squarefree, *low) > 0 else -1
+    return x.as_integer_ratio(), low, high, 1 if _scaled_value(squarefree, *low) > 0 else -1
 
 
 def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
@@ -227,10 +259,12 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
 
     Bisects toward the leftmost root from the Cauchy bound: a step keeps the
     lower half when (lo, mid] holds a root.  With a certified float bracket
-    each step is decided by comparison with its ends or by the sign of the
-    square-free part; without one, by Sturm-chain counts.  Both give the
-    same answers (see the module docstring).  Coefficients may be integers,
-    rationals or floats; ``width`` must be finite and positive.
+    the cell of the final bisection grid that holds the root is found next
+    to the estimate, each probe decided by comparison with the bracket's
+    ends or by the sign of the square-free part; without one, every step
+    counts Sturm-chain sign changes.  Both give the same float (see the
+    module docstring).  Coefficients may be integers, rationals or floats;
+    ``width`` must be finite and positive.
     """
     if not (math.isfinite(width) and width > 0):
         raise InvalidParameterError(f"width must be finite and positive, got {width!r}")
@@ -246,29 +280,46 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     den = abs(p[0])
     hi = den + max(abs(c) for c in p[1:])
     lo = -hi
-    v_lo = _sign_changes(chain, lo, den)
+    # V(lo) = V(-infinity), read from the leading terms: no root is <= lo
+    signs = [q[0] > 0 if len(q) % 2 else q[0] < 0 for q in chain]
+    v_lo = sum(s != t for s, t in zip(signs, signs[1:]))
     squarefree = _primitive(_exact_div(p, chain[-1]))
     bracket = _certified_bracket(chain, v_lo, squarefree)
-    if bracket is not None:
-        (l_num, l_den), (h_num, h_den), sign_at_low = bracket
-    elif v_lo - _sign_changes(chain, hi, den) == 0:
-        raise InvalidParameterError("polynomial has no real roots in the Cauchy bound")
-    while (hi - lo) * width_den > width_num * den:
-        mid = lo + hi
-        lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        if bracket is None:
-            below = v_lo - _sign_changes(chain, mid, den) >= 1
-        elif mid * h_den >= h_num * den:
+    if bracket is None:
+        if v_lo - _sign_changes(chain, hi, den) == 0:
+            raise InvalidParameterError("polynomial has no real roots in the Cauchy bound")
+        while (hi - lo) * width_den > width_num * den:
+            mid = lo + hi
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            if v_lo - _sign_changes(chain, mid, den) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / (2 * den)
+    # the final grid: the fewest halvings that reach the width leave cells of
+    # numerator ``cell`` over ``den``, y_i = lo + i * cell; find the one holding r
+    (x_num, x_den), (l_num, l_den), (h_num, h_den), sign_at_low = bracket
+    halvings = (-(-(hi - lo) * width_den // (width_num * den)) - 1).bit_length()
+    lo, den, cell = lo << halvings, den << halvings, hi - lo
+    lo_i, hi_i = 0, 1 << halvings  # r > y_0 and r <= y_(2^halvings)
+    t = (x_num * den - lo * x_den) // (cell * x_den) + 1  # right end of x's cell
+    step = 1
+    while hi_i - lo_i > 1:
+        if not lo_i < t < hi_i:
+            t = (lo_i + hi_i) // 2
+        y = lo + t * cell
+        if y * h_den >= h_num * den:
             below = True
-        elif mid * l_den <= l_num * den:
+        elif y * l_den <= l_num * den:
             below = False
         else:
-            below = _scaled_value(squarefree, mid, den) * sign_at_low <= 0
-        if below:
-            hi = mid
+            below = _scaled_value(squarefree, y, den) * sign_at_low <= 0
+        if below:  # r <= y: gallop down
+            hi_i, t = t, t - step
         else:
-            lo = mid
-    return (lo + hi) / (2 * den)
+            lo_i, t = t, t + step
+        step *= 2
+    return (2 * lo + (2 * lo_i + 1) * cell) / (2 * den)
 
 
 def charpoly_oracle(m) -> tuple[list[int], float]:

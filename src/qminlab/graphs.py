@@ -100,10 +100,11 @@ class Graph:
         return sum(m.bit_count() for m in self.nbr) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges():
-            a[u, v] = a[v, u] = 1.0
-        return a
+        """The 0/1 adjacency matrix as floats: row v is the bits of ``nbr[v]``."""
+        width = (self.n + 7) // 8
+        packed = b"".join([m.to_bytes(width, "little") for m in self.nbr])
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(np.float64)
 
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
@@ -236,41 +237,35 @@ def two_coloring(g: Graph) -> Optional[TwoColoring]:
     return TwoColoring(tuple(part))
 
 
-def _bfs_dist(nbr, n: int, src: int, dst: int, skip_edge=None) -> Optional[int]:
-    """BFS distance src -> dst, optionally ignoring one edge."""
-    masks = list(nbr)
-    if skip_edge is not None:
-        a, b = skip_edge
-        masks[a] &= ~(1 << b)
-        masks[b] &= ~(1 << a)
-    if src == dst:
-        return 0
-    reach = 1 << src
-    frontier = reach
-    dist = 0
-    while frontier:
-        acc = 0
-        for v in _bits(frontier):
-            acc |= masks[v]
-        frontier = acc & ~reach
-        reach |= frontier
-        dist += 1
-        if (frontier >> dst) & 1:
-            return dist
-    return None
-
-
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for a forest.
 
-    Every shortest cycle uses some edge uv and decomposes as uv plus a
-    shortest u-v path avoiding uv, so scanning all edges is exact.
+    One layered BFS per root.  An edge inside layer d closes an odd closed
+    walk of length 2d + 1 through the root, and a vertex of layer d + 1 with
+    two neighbours in layer d ends two distinct paths of length d + 1 from
+    it; either holds a cycle no longer than that.  A shortest cycle is
+    isometric, so a BFS from any of its vertices meets it at exactly its
+    length: the minimum over roots is exact.
     """
     best = None
-    for u, v in g.edges():
-        d = _bfs_dist(g.nbr, g.n, u, v, skip_edge=(u, v))
-        if d is not None and (best is None or d + 1 < best):
-            best = d + 1
+    for root in range(g.n):
+        seen = frontier = 1 << root
+        depth = 0
+        while frontier and (best is None or 2 * depth + 1 < best):
+            if any(g.nbr[v] & frontier for v in _bits(frontier)):
+                best = 2 * depth + 1
+                break
+            once = twice = 0
+            for v in _bits(frontier):
+                step = g.nbr[v] & ~seen
+                twice |= once & step
+                once |= step
+            if twice:
+                best = 2 * depth + 2
+                break
+            seen |= once
+            frontier = once
+            depth += 1
     return best
 
 

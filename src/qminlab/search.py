@@ -50,7 +50,7 @@ from .errors import CapacityExceededError, InvalidParameterError
 from .families import PendantProfile, build_K, build_U_std
 from .graphs import Graph, coalesce, is_connected, two_coloring
 from .patterns import PatternReport
-from .spectra import eig_sym, q_matrix, q_min_of, qmin_stack
+from .spectra import q_matrix, q_min_of, qmin_stack
 
 DEFAULT_TIE_TOL = 1e-8
 MAX_ORDER = 8
@@ -562,8 +562,7 @@ def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> Patter
     u, v = e
     if not g.has_edge(u, v):
         raise InvalidParameterError(f"({u},{v}) is not an edge")
-    a = eig_sym(q_matrix(g.without_edge(u, v))).eigenvalues
-    b = eig_sym(q_matrix(g)).eigenvalues
+    a, b = np.linalg.eigvalsh(np.stack([q_matrix(g.without_edge(u, v)), q_matrix(g)]))
     bad = []
     for i in range(g.n):
         if not a[i] <= b[i] + tol:

@@ -23,6 +23,7 @@ from qminlab.charpoly import (
     charpoly_oracle,
     smallest_real_root,
 )
+from qminlab.families import build_U_std
 
 
 def test_c3_coefficients_and_double_root():
@@ -382,6 +383,78 @@ def test_oracle_never_consults_lapack_for_its_matrix(monkeypatch):
     assert [charpoly_oracle(q) for q in qs] == expected
 
 
+# -- int64 Faddeev-LeVerrier under the overflow bound -----------------------
+
+
+class _RecordingMatrix(np.ndarray):
+    """Records the dtype of every product ``charpoly_coeffs`` forms with it."""
+
+    products = []
+
+    def dot(self, other):
+        _RecordingMatrix.products.append(str(other.dtype))
+        return super().dot(other)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """dtypes of the recurrence's products, one per step k >= 2; the input
+    matrix itself must have reached int64."""
+    original = charpoly._as_int_matrix
+
+    def recording(m):
+        a = original(m)
+        _RecordingMatrix.products.append(f"input {a.dtype}")
+        return a.view(_RecordingMatrix)
+
+    monkeypatch.setattr(charpoly, "_as_int_matrix", recording)
+    _RecordingMatrix.products = []
+    return _RecordingMatrix.products
+
+
+def _overflowing_matrices():
+    rng = random.Random(83)
+    for scale, orders in ((2**31, (2, 3, 5)), (2**40, (2, 4)), (2**12, (6, 8))):
+        for n in orders:
+            m = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(n)]
+            yield np.array(m, dtype=np.int64)
+            yield np.array(m, dtype=np.int64) + np.array(m, dtype=np.int64).T
+    yield np.array([[-(2**63), 1], [1, 2**63 - 1]], dtype=np.int64)
+    yield np.array([[-(2**63), 1], [1, 0]], dtype=np.int64)  # np.abs wraps here
+    yield q_matrix(complete_graph(16))
+
+
+def test_int64_path_falls_back_without_changing_coefficients(products):
+    partway = 0
+    for m in _overflowing_matrices():
+        products.clear()
+        coeffs = charpoly_coeffs(m)
+        assert coeffs == _ref_charpoly_coeffs(m)
+        assert all(type(c) is int for c in coeffs)
+        if products[0] == "input int64" and "int64" in products and "object" in products:
+            assert products.index("object") > products.index("int64")
+            partway += 1
+    assert partway >= 3  # among them K16, which widens at step 12 of 16
+
+
+def test_q_matrices_through_order_16_stay_on_int64(products):
+    # the speed of the oracle rests on this: a Q-matrix widened to Python
+    # ints would give the same coefficients at several times the cost
+    count = 0
+    for n in range(3, 17):
+        for g in range(3, n + 1):
+            for k in range(n):
+                try:
+                    graph, _ = build_U_std(n, k, g)
+                except InvalidParameterError:
+                    continue
+                products.clear()
+                charpoly_coeffs(q_matrix(graph))
+                assert products == ["input int64"] + ["int64"] * (n - 1), (n, k, g)
+                count += 1
+    assert count == 252
+
+
 # -- the certified float bracket cannot change a bisection decision ---------
 
 
@@ -484,3 +557,23 @@ def test_double_root_at_a_midpoint(monkeypatch):
     evaluations = _spy(monkeypatch, "_sign_changes")
     assert smallest_real_root(coeffs) == expected
     assert (0, 2) in [(a, b) for (_, a, b), _ in evaluations]
+
+
+def test_final_cell_needs_few_square_free_signs(monkeypatch):
+    # the sign at L plus the probes of the cell search; bisecting inside the
+    # bracket instead would take about 12.  The chain is counted only for the
+    # two certificates: V(lo) comes from its leading terms.
+    brackets = _spy(monkeypatch, "_certified_bracket")
+    counts_of_chain = _spy(monkeypatch, "_sign_changes")
+    values = _spy(monkeypatch, "_scaled_value")
+    counts = []
+    for g in _random_graphs(61, 300, 6, 10):
+        brackets.clear()
+        counts_of_chain.clear()
+        values.clear()
+        charpoly_oracle(q_matrix(g))
+        ((_, _, squarefree), result), = brackets
+        assert result is not None and len(counts_of_chain) == 2
+        counts.append(sum(args[0] is squarefree for args, _ in values))
+    assert max(counts) <= 24
+    assert sum(counts) <= 5 * len(counts)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qminlab import (
@@ -19,6 +20,7 @@ from qminlab import (
     structure_report,
 )
 from qminlab.families import PendantProfile
+from qminlab.graphs import girth
 
 
 def random_graph(rng, n, p=0.5):
@@ -196,6 +198,51 @@ def test_girth_against_subset_oracle():
         rep = structure_report(g)
         assert rep.girth == oracle_girth(g)
         assert rep.odd_girth == oracle_girth(g, odd_only=True)
+
+
+def per_edge_girth(g):
+    """The former definition: every shortest cycle is an edge uv plus a
+    shortest u-v path avoiding uv, found by one BFS per edge."""
+    best = None
+    for u, v in g.edges():
+        masks = list(g.nbr)
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+        reach = frontier = 1 << u
+        dist = 0
+        while frontier and not (frontier >> v) & 1:
+            acc = 0
+            for w in range(g.n):
+                if (frontier >> w) & 1:
+                    acc |= masks[w]
+            frontier = acc & ~reach
+            reach |= frontier
+            dist += 1
+        if frontier and (best is None or dist + 1 < best):
+            best = dist + 1
+    return best
+
+
+def test_girth_matches_per_edge_definition():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(3, 12), rng.choice((0.15, 0.25, 0.4, 0.6)))
+        assert girth(g) == per_edge_girth(g), g.edges()
+        seen.add(girth(g))
+    assert {None, 3, 4, 5} <= seen
+
+
+def test_adjacency_matrix_matches_edge_loop():
+    rng = random.Random(41)
+    for n in range(1, 71):
+        g = random_graph(rng, n, rng.random())
+        expected = np.zeros((n, n))
+        for u, v in g.edges():
+            expected[u, v] = expected[v, u] = 1.0
+        a = g.adjacency_matrix()
+        assert a.dtype == np.float64 and a.shape == (n, n)
+        assert np.array_equal(a, expected), n
 
 
 def test_report_permutation_invariant():
