@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import CapacityExceededError, InvalidParameterError
 
-#: Largest order accepted by the exhaustive isomorphism test.
-ISO_ORDER_CAP = 10
+#: Largest order accepted by the exhaustive isomorphism test, that of the
+#: largest searched class.
+ISO_ORDER_CAP = 16
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -375,7 +376,7 @@ def _find_mapping(g: Graph, h: Graph) -> bool:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """True iff some vertex bijection maps edges onto edges (order <= 10)."""
+    """True iff some vertex bijection maps edges onto edges (order <= 16)."""
     if max(g.n, h.n) > ISO_ORDER_CAP:
         raise CapacityExceededError(
             f"isomorphism is capped at order {ISO_ORDER_CAP}, got {max(g.n, h.n)}"

@@ -1,11 +1,12 @@
 """Exhaustive searches over graph classes at small order, one isomorphism
 class at a time.
 
-A labeled graph of order n is an edge subset of K_n, held as a mask: edge b
-of K_n (column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
-A search eigensolves one representative per isomorphism class, and each
-class counts n!/|Aut| towards ``graphs_examined``.  Two generators supply
-the representatives, and neither enumerates labeled candidates:
+A labeled graph of order n <= 16 travels as its neighbour rows: n uint16
+masks, bit u of row v set when u and v are adjacent.  A search eigensolves
+one representative per isomorphism class, and each class counts n!/|Aut|
+towards ``graphs_examined``.  Two generators build the representatives'
+rows straight from their edge lists, and neither enumerates labeled
+candidates:
 
 * every unicyclic class from tree codes (see ``_unicyclic_classes``): the
   cycle C_g with a rooted tree hung at each cycle vertex, one cyclic
@@ -16,28 +17,28 @@ the representatives, and neither enumerates labeled candidates:
   per isomorphism class, built by adding a vertex to the connected graphs
   one order down (see ``_connected``).
 
-General classes are searched through order 8 and unicyclic ones through
-order 9; larger orders are refused.  Past them ``_nbr_rows``'s tables grow
-to about 250 MB at order 10, and general order 9 needs the cores of order
-8, which the vertex-adding build takes about 50 s to make (a general class
-of order 8 with no pendant needs them too).
+Unicyclic classes are searched through order 16, the most a uint16 row
+holds, and general ones through order 8; larger orders are refused.
+General order 9 needs the cores of order 8, which the vertex-adding build
+takes about 50 s to make (a general class of order 8 with no pendant needs
+them too).
 
 Shard s of W is the index range [R*s/W, R*(s+1)/W) of the R representatives
 in their fixed generation order.  No shard rescans another's, the unsharded
 order is the shards' orders concatenated, and merged shard results equal
 the unsharded ones bit for bit because ``qmin_stack`` gives each matrix the
 same least eigenvalue whatever batch it is solved in (a test re-proves this
-on a whole class).  Tied witnesses are reported one per isomorphism class,
-each relabelled to the lowest mask of its orbit, found by search
-(``_lowest_mask``), and only for the objective asked for.
-
-Representatives travel in blocks: an (N,) int64 array of masks with an
-(N, n) uint16 array of neighbour masks, row v holding the bitmask of v's
-neighbours.
+on a whole class).  A scan keeps the positions of the representatives
+within the tie window.  Tied witnesses are reported one per isomorphism
+class, each relabelled to the lowest mask of its orbit, found by search
+(``_lowest_mask``), and only for the objective asked for.  A mask is an
+edge subset of K_n as a Python int: edge b of K_n (column order: (0,1),
+(0,2), (1,2), (0,3), ...) occupies bit M-1-b.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -54,8 +55,7 @@ from .spectra import q_matrix, q_min_of, qmin_stack
 
 DEFAULT_TIE_TOL = 1e-8
 MAX_ORDER = 8
-MAX_UNICYCLIC_ORDER = 9
-_CHUNK = 1 << 16
+MAX_UNICYCLIC_ORDER = 16
 _EIG_BATCH = 4096
 
 
@@ -88,62 +88,32 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-@functools.cache
-def _popcount() -> np.ndarray:
-    """Bit counts of every uint16 neighbour mask, built on first use as the
-    sum of the counts of its high and low byte; unpacking all 2^16 masks at
-    once instead raised the peak RSS of an n=7 sweep by 1.7 MB."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    byte = bits.sum(axis=1, dtype=np.uint8)
-    return np.add.outer(byte, byte).ravel()
-
-
-@functools.cache
-def _half_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Neighbour masks of the edges in the low and in the high half of an
-    edge-subset mask, indexed by that half's value."""
-    edges = _edge_list(n)
-    m_edges = len(edges)
-    low_bits = m_edges // 2
-    tables = []
-    for lo, width in ((0, low_bits), (low_bits, m_edges - low_bits)):
-        half = np.arange(1 << width, dtype=np.int64) << lo
-        rows = np.zeros((half.size, n), dtype=np.uint16)
-        for b, (i, j) in enumerate(edges):
-            bit = m_edges - 1 - b
-            if lo <= bit < lo + width:
-                present = ((half >> bit) & 1).astype(np.uint16)
-                rows[:, i] |= present << j
-                rows[:, j] |= present << i
-        tables.append(rows)
-    return low_bits, tables[0], tables[1]
-
-
-def _nbr_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    """(N, n) neighbour masks of the graphs with these edge-subset masks."""
-    low_bits, low, high = _half_tables(n)
-    return low[masks & ((1 << low_bits) - 1)] | high[masks >> low_bits]
-
-
-def _shard_chunks(total: int, shard_index: int, shard_count: int):
-    """Yield (start, stop) blocks of at most _CHUNK covering positions
+def _shard_chunks(total: int, shard_index: int, shard_count: int, size: int):
+    """Yield (start, stop) blocks of at most ``size`` covering positions
     [total*s/W, total*(s+1)/W) of 0..total-1, for s = shard_index and
     W = shard_count."""
     if shard_count < 1 or not 0 <= shard_index < shard_count:
         raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
     lo = total * shard_index // shard_count
     hi = total * (shard_index + 1) // shard_count
-    for start in range(lo, hi, _CHUNK):
-        yield start, min(start + _CHUNK, hi)
+    for start in range(lo, hi, size):
+        yield start, min(start + size, hi)
 
 
 # -- representatives -----------------------------------------------------------
 
 
-@functools.cache
 def _connected(m: int) -> np.ndarray:
     """The lowest masks of the connected graphs of order m, one per
-    isomorphism class, in increasing order.
+    isomorphism class, in increasing order."""
+    return _connected_classes(m)[0]
+
+
+@functools.cache
+def _connected_classes(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The connected graphs of order m, one per isomorphism class, in
+    increasing order of the class's lowest mask: (those masks, each class's
+    automorphisms as rows of ``_permutations(m)``, in the same order).
 
     A connected graph of order m >= 2 stays connected without some vertex (a
     leaf of a spanning tree), so it is isomorphic to a connected graph of
@@ -152,20 +122,28 @@ def _connected(m: int) -> np.ndarray:
     these extensions not yet struck starts a class, and the class's whole
     orbit is struck from the rest by binary search in its sorted masks
     (``np.isin`` and ``np.unique`` would import ``numpy.ma``, about 20 ms).
-    A class's lowest mask need not be an extension, so the classes are
-    sorted at the end.
+    The relabellings r that carry the extension to the lowest mask are the
+    automorphisms of the lowest-mask graph after the first of them, r0, so
+    r composed with the inverse of r0 runs through those automorphisms.  A
+    class's lowest mask need not be an extension, so the classes are sorted
+    at the end.
     """
     if m == 1:
-        return np.zeros(1, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), (np.zeros((1, 1), dtype=np.int8),)
     columns = np.arange(1, 1 << (m - 1), dtype=np.int64)
     rest = np.sort((_connected(m - 1)[:, None] << (m - 1) | columns).ravel())
-    lowest = []
+    lowest, auts = [], []
     while rest.size:
-        orbit = np.sort(_orbit(m, int(rest[0])))
-        lowest.append(orbit[0])
-        found = orbit[np.searchsorted(orbit, rest).clip(max=orbit.size - 1)]
+        orbit = _orbit(m, int(rest[0]))
+        ordered = np.sort(orbit)
+        lowest.append(ordered[0])
+        reach = _permutations(m)[np.flatnonzero(orbit == ordered[0])]
+        reach = reach[:, np.argsort(reach[0])]
+        auts.append(reach[np.lexsort(reach.T[::-1])])
+        found = ordered[np.searchsorted(ordered, rest).clip(max=ordered.size - 1)]
         rest = rest[found != rest]
-    return np.sort(np.array(lowest, dtype=np.int64))
+    order = np.argsort(lowest)
+    return np.array(lowest, dtype=np.int64)[order], tuple(auts[at] for at in order)
 
 
 @functools.cache
@@ -173,10 +151,10 @@ def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
     """The connected non-bipartite graphs of order m, one per isomorphism
     class, in increasing order of the class's lowest mask: (that mask, its
     automorphisms as rows of ``_permutations(m)``)."""
-    masks = _connected(m)
+    masks, auts = _connected_classes(m)
     return tuple(
-        (lowest, _permutations(m)[_orbit(m, lowest) == lowest])
-        for lowest, graph in zip(masks.tolist(), _witness_graphs(m, masks))
+        (lowest, aut)
+        for lowest, aut, graph in zip(masks.tolist(), auts, _witness_graphs(m, masks))
         if two_coloring(graph) is None
     )
 
@@ -184,7 +162,7 @@ def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
 @functools.cache
 def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """One graph per isomorphism class of the connected non-bipartite graphs
-    of order n with exactly k >= 0 pendant vertices: (edge-subset masks, the
+    of order n with exactly k >= 0 pendant vertices: (neighbour rows, the
     number of labeled graphs in each class), ordered by core, then by
     placement.
 
@@ -203,29 +181,32 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     cores without a leaf, each standing for n!/|Aut| labelings.
     """
     m = n - k
-    m_edges = n * (n - 1) // 2
     spots = np.array(
         list(itertools.combinations_with_replacement(range(m), k)), dtype=np.int64
     )
     placements = (spots[:, :, None] == np.arange(m)).sum(axis=1)
-    pendant_col = m + np.arange(k)
-    pendant_bits = (
-        1 << (m_edges - 1 - pendant_col * (pendant_col - 1) // 2 - spots)
-    ).sum(axis=1)
+    # the pendants' rows, and their bits in the rows of the core vertices
+    pendant_rows = np.zeros((len(spots), n), dtype=np.uint16)
+    pendant_rows[:, m:] = 1 << spots
+    for t in range(k):
+        pendant_rows[np.arange(len(spots)), spots[:, t]] |= 1 << (m + t)
     weight = (k + 1) ** np.arange(m - 1, -1, -1)
     code = placements @ weight  # lexicographic order of the placements
     fact = np.array([math.factorial(c) for c in range(k + 1)], dtype=np.int64)
     relabelings = math.factorial(n) // fact[placements].prod(axis=1)
-    masks = [np.zeros(0, dtype=np.int64)]
+    rows = [np.zeros((0, n), dtype=np.uint16)]
     counts = [np.zeros(0, dtype=np.int64)]
-    for core, auts in _cores(m):
-        leaves = _popcount()[_nbr_rows(m, np.array([core]))[0]] == 1
+    cores = _cores(m)
+    for (_, auts), core in zip(cores, _witness_graphs(m, [lowest for lowest, _ in cores])):
+        leaves = np.array(core.degrees()) == 1
         images = placements[:, auts] @ weight
         keep = placements[:, leaves].all(axis=1) & (images.max(axis=1) == code)
         stabilizer = (images == code[:, None]).sum(axis=1)
-        masks.append(core << (m_edges - m * (m - 1) // 2) | pendant_bits[keep])
+        block = pendant_rows[keep]
+        block[:, :m] |= np.array(core.nbr, dtype=np.uint16)
+        rows.append(block)
         counts.append(relabelings[keep] // stabilizer[keep])
-    return np.concatenate(masks), np.concatenate(counts)
+    return np.concatenate(rows), np.concatenate(counts)
 
 
 @functools.cache
@@ -265,31 +246,24 @@ def _tree_automorphisms(tree: tuple) -> int:
     return count
 
 
-def _tree_leaves(tree: tuple) -> int:
-    """The number of childless vertices of a rooted tree, its root excluded."""
-    return sum(_tree_leaves(child) if child else 1 for child in tree)
-
-
 @functools.cache
 def _unicyclic_classes(n: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The connected unicyclic graphs of order n whose cycle has length g,
-    one per isomorphism class, in a fixed generation order: (edge-subset
-    masks, pendant counts, the number of labeled graphs in each class).
+    one per isomorphism class, in a fixed generation order: (neighbour rows,
+    pendant counts, the number of labeled graphs in each class).
 
     Such a graph is the cycle C_g with a rooted tree hung at each cycle
     vertex, and two of them are isomorphic exactly when a rotation or
     reflection of the cycle carries one sequence of trees onto the other.
     The sequences of positions in the list of rooted trees ordered by size
     whose sizes sum to n run in lexicographic order, and each is kept when
-    it is the least of its 2g images.  Its pendants are the trees' non-root
-    leaves, and |Aut| is the number of images equal to it times the
-    product of the trees' automorphism counts, so the class has n!/|Aut|
-    labelings.  Cycle vertex i keeps label i; the other vertices of the
-    trees follow in preorder.
+    it is the least of its 2g images.  |Aut| is the number of images equal
+    to it times the product of the trees' automorphism counts, so the class
+    has n!/|Aut| labelings.  Cycle vertex i keeps label i; the other
+    vertices of the trees follow in preorder.
     """
     trees = [(s, tree) for s in range(1, n - g + 2) for tree in _rooted_trees(s)]
-    m_edges = n * (n - 1) // 2
-    masks, pendants, counts = [], [], []
+    rows, counts = array.array("H"), []
 
     def sequences(prefix: tuple, room: int):
         if len(prefix) == g:
@@ -316,19 +290,23 @@ def _unicyclic_classes(n: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         edges = [(i, i + 1) for i in range(g - 1)] + [(0, g - 1)]
         for i, at in enumerate(seq):
             hang(edges, i, trees[at][1])
-        masks.append(sum(1 << (m_edges - 1 - j * (j - 1) // 2 - i) for i, j in edges))
-        pendants.append(sum(_tree_leaves(trees[at][1]) for at in seq))
+        nbr = [0] * n
+        for i, j in edges:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        rows.extend(nbr)
         aut = images.count(seq) * math.prod(_tree_automorphisms(trees[at][1]) for at in seq)
         counts.append(math.factorial(n) // aut)
-    return tuple(np.array(col, dtype=np.int64) for col in (masks, pendants, counts))
+    rows = np.array(rows, dtype=np.uint16).reshape(-1, n)
+    pendants = ((rows & (rows - 1)) == 0).sum(axis=1)  # rows with one bit
+    return rows, pendants, np.array(counts, dtype=np.int64)
 
 
-def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Yield (masks, nbr, count) blocks of the class's representatives at
-    positions [R*s/W, R*(s+1)/W) of its R, in ``_unicyclic_classes`` order
-    for a unicyclic class and ``_representatives`` order otherwise; count is
-    the number of labeled graphs the block's classes hold.  A class above
-    its order cap is refused."""
+def _class_rows(q: ClassQuery) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour rows of the class's representatives, in
+    ``_unicyclic_classes`` order for a unicyclic class and
+    ``_representatives`` order otherwise, with the number of labeled graphs
+    in each class.  A class above its order cap is refused."""
     unicyclic = q.unicyclic_girth is not None
     cap = MAX_UNICYCLIC_ORDER if unicyclic else MAX_ORDER
     if q.n > cap:
@@ -337,13 +315,19 @@ def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
             f"order {q.n} is over the cap: {kind} classes are searched up to order {cap}"
         )
     if not unicyclic:
-        masks, counts = _representatives(q.n, q.k)
-    else:
-        masks, pendants, counts = _unicyclic_classes(q.n, q.unicyclic_girth)
-        masks, counts = masks[pendants == q.k], counts[pendants == q.k]
-    for start, stop in _shard_chunks(masks.size, shard_index, shard_count):
-        block = masks[start:stop]
-        yield block, _nbr_rows(q.n, block), int(counts[start:stop].sum())
+        return _representatives(q.n, q.k)
+    rows, pendants, counts = _unicyclic_classes(q.n, q.unicyclic_girth)
+    return rows[pendants == q.k], counts[pendants == q.k]
+
+
+def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
+    """Yield (positions, nbr, count) blocks of the class's representatives
+    at positions [R*s/W, R*(s+1)/W) of the R of ``_class_rows``; count is
+    the number of labeled graphs the block's classes hold, a Python int.
+    A block is one eigensolver batch: a (B, n, n) float stack at most."""
+    rows, counts = _class_rows(q)
+    for start, stop in _shard_chunks(len(rows), shard_index, shard_count, _EIG_BATCH):
+        yield np.arange(start, stop), rows[start:stop], sum(counts[start:stop].tolist())
 
 
 # -- extremal search ---------------------------------------------------------
@@ -363,8 +347,8 @@ def _tie_window(value: float, tie_tol: float) -> float:
     return tie_tol * (1.0 + abs(value))
 
 
-def _keep_ties(objective: str, tie_tol: float, masks: np.ndarray, values: np.ndarray):
-    """The best value, and the masks and values of the candidates within its
+def _keep_ties(objective: str, tie_tol: float, ids: np.ndarray, values: np.ndarray):
+    """The best value, and the ids and values of the candidates within its
     tie window.  Applied to the ties kept so far plus a new batch, this keeps
     exactly what a one-at-a-time scan would, since the window's edge moves
     monotonically with the best value."""
@@ -374,45 +358,47 @@ def _keep_ties(objective: str, tie_tol: float, masks: np.ndarray, values: np.nda
     else:
         best = float(values.max())
         keep = values >= best - _tie_window(best, tie_tol)
-    return best, masks[keep], values[keep]
+    return best, ids[keep], values[keep]
 
 
 def _least_values(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Masks and least Q-eigenvalues of the members of some stream blocks."""
-    masks = np.concatenate([m for m, _ in blocks])
+    """Ids and least Q-eigenvalues of the members of some (ids, nbr) blocks:
+    Q = D + A, the degrees being the adjacency rows' sums."""
+    ids = np.concatenate([i for i, _ in blocks])
     nbr = np.concatenate([b for _, b in blocks])
     ax = np.arange(n)
     qs = ((nbr[:, :, None] >> ax) & 1).astype(np.float64)
-    qs[:, ax, ax] = _popcount()[nbr]
-    return masks, qmin_stack(qs)
+    qs[:, ax, ax] = qs.sum(axis=2)
+    return ids, qmin_stack(qs)
 
 
 def _scan_shard(n: int, tie_tol: float, blocks):
-    """Count the labeled graphs one shard's (masks, nbr, count) blocks stand
-    for and keep, per objective, the (masks, values) of every block row
-    within the tie window of the shard's best value."""
+    """Count the labeled graphs one shard's (ids, nbr, count) blocks stand
+    for and keep, per objective, the (ids, values) of every block row within
+    the tie window of the shard's best value.  Ids are int64: positions in
+    the class on the by-class route."""
     ties = {obj: (np.zeros(0, dtype=np.int64), np.zeros(0)) for obj in ("min", "max")}
     count = 0
     pending: list = []
 
     def flush():
-        masks, values = _least_values(n, pending)
+        ids, values = _least_values(n, pending)
         pending.clear()
         for obj in ("min", "max"):
-            kept_masks, kept_values = ties[obj]
-            _, kept_masks, kept_values = _keep_ties(
+            kept_ids, kept_values = ties[obj]
+            _, kept_ids, kept_values = _keep_ties(
                 obj,
                 tie_tol,
-                np.concatenate([kept_masks, masks]),
+                np.concatenate([kept_ids, ids]),
                 np.concatenate([kept_values, values]),
             )
-            ties[obj] = kept_masks, kept_values
+            ties[obj] = kept_ids, kept_values
 
     waiting = 0
-    for masks, nbr, examined in blocks:
+    for ids, nbr, examined in blocks:
         count += examined
-        pending.append((masks, nbr))
-        waiting += masks.size
+        pending.append((ids, nbr))
+        waiting += ids.size
         if waiting >= _EIG_BATCH:
             flush()
             waiting = 0
@@ -453,9 +439,10 @@ def _orbit(n: int, mask: int) -> np.ndarray:
     return np.bitwise_or.reduce(_edge_images(n)[present], axis=0)
 
 
-def _lowest_mask(n: int, mask: int) -> int:
-    """The lowest mask over all relabellings of one labeled graph, found by
-    search instead of by enumerating the n! of them.
+def _lowest_mask(n: int, nbr) -> int:
+    """The lowest mask over all relabellings of the graph with these
+    neighbour rows, found by search instead of by enumerating the n! of
+    them.
 
     Column j of a mask is the adjacency of the vertex labelled j to labels
     0..j-1, (0, j) its most significant bit, so the lowest mask is the
@@ -465,14 +452,15 @@ def _lowest_mask(n: int, mask: int) -> int:
     column against the prefix, or ``used`` once v is labelled, and labelling
     u next turns each code c into 2c + adj(u, v).  Two prefixes whose rows
     are equal have the same futures, so equal rows are merged (by
-    ``np.lexsort``: ``np.unique`` would import ``numpy.ma``).
+    ``np.lexsort``: ``np.unique`` would import ``numpy.ma``).  Codes are
+    uint16: a code compared at label j has j <= 15 bits, below ``used``.
+    Equal columns can still leave many prefixes (the orderings of an
+    independent set): at order 16 a witness takes 0.4-2 s and 80-200 MB.
     """
     m_edges = n * (n - 1) // 2
-    adj = np.zeros((n, n), dtype=np.int64)
-    for b, (i, j) in enumerate(_edge_list(n)):
-        adj[i, j] = adj[j, i] = (mask >> (m_edges - 1 - b)) & 1
-    used = 1 << n  # above every code
-    codes = np.zeros((1, n), dtype=np.int64)
+    adj = (np.asarray(nbr, dtype=np.uint16)[:, None] >> np.arange(n, dtype=np.uint16)) & 1
+    used = np.uint16(0xFFFF)  # above every code
+    codes = np.zeros((1, n), dtype=np.uint16)
     lowest = 0
     for j in range(n):
         column = codes.min()
@@ -490,21 +478,25 @@ def _lowest_mask(n: int, mask: int) -> int:
 
 def _witness_graphs(n: int, masks) -> tuple[Graph, ...]:
     """The graphs of some masks, in increasing mask order."""
-    rows = _nbr_rows(n, np.sort(np.array(masks, dtype=np.int64)))
-    return tuple(Graph(n, tuple(row)) for row in rows.tolist())
+    edges = _edge_list(n)
+    top = len(edges) - 1
+    return tuple(
+        Graph.from_edges(n, [e for b, e in enumerate(edges) if mask >> (top - b) & 1])
+        for mask in sorted(int(mask) for mask in masks)
+    )
 
 
 def _scan(n: int, tie_tol: float, shards) -> tuple[int, dict[str, tuple[float, np.ndarray]]]:
     """Merge the scans of some shards' block streams: the number of labeled
-    graphs they stand for and, per objective, the best value with the masks
-    within its tie window (NaN and no masks for an empty class)."""
+    graphs they stand for and, per objective, the best value with the ids
+    within its tie window (NaN and no ids for an empty class)."""
     partials = [_scan_shard(n, tie_tol, blocks) for blocks in shards]
     count = sum(c for c, _ in partials)
     ties = {}
     for obj in ("min", "max"):
-        masks = np.concatenate([shard_ties[obj][0] for _, shard_ties in partials])
+        ids = np.concatenate([shard_ties[obj][0] for _, shard_ties in partials])
         values = np.concatenate([shard_ties[obj][1] for _, shard_ties in partials])
-        ties[obj] = _keep_ties(obj, tie_tol, masks, values)[:2] if count else (math.nan, masks)
+        ties[obj] = _keep_ties(obj, tie_tol, ids, values)[:2] if count else (math.nan, ids)
     return count, ties
 
 
@@ -520,8 +512,9 @@ def _search(q: ClassQuery, tie_tol: float, shards: int, objective: str) -> Searc
     The generators emit pairwise non-isomorphic representatives, so each
     witness is only relabelled to its lowest mask."""
     count, ties = _run_scan(q, tie_tol, shards)
-    best, masks = ties[objective]
-    witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, m) for m in masks.tolist()])
+    best, positions = ties[objective]
+    rows = _class_rows(q)[0][positions].tolist()
+    witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, row) for row in rows])
     return SearchResult(objective, best, witnesses, count)
 
 

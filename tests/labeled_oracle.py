@@ -9,7 +9,10 @@ has C labeled candidates, each with a rank: a general class's candidates
 are the 2^M masks in increasing order (rank = mask), a unicyclic class's
 are the C(M, n) n-edge subsets in lexicographic combination order.  Shard s
 of W visits the candidate ranks [C*s/W, C*(s+1)/W).  Candidates travel in
-blocks; degree screens run first, then exact connectivity, odd-cycle and
+blocks of masks, each block turned into neighbour rows by lookup tables
+indexed by the low and the high half of a mask (``_nbr_rows``), and each
+block's masks are the ids that ``search._scan`` keeps for its ties.  Degree
+screens run first, then exact connectivity, odd-cycle and
 cycle-length tests written here apart from ``qminlab.graphs``.  Extremal
 values over labeled graphs and over isomorphism classes coincide, so a scan
 needs no isomorphism rejection; its tied witnesses are deduplicated by
@@ -32,6 +35,8 @@ from qminlab import search
 from qminlab.errors import InvalidParameterError
 from qminlab.graphs import Graph
 from qminlab.search import ClassQuery
+
+_CHUNK = 1 << 16  # candidates per block
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,46 @@ def _labeled(q) -> LabeledQuery:
     if isinstance(q, LabeledQuery):
         return q
     return LabeledQuery(q.n, q.k, q.unicyclic_girth)
+
+
+# -- neighbour masks of edge-subset masks ---------------------------------------
+
+
+@functools.cache
+def _popcount() -> np.ndarray:
+    """Bit counts of every uint16 neighbour mask, built on first use as the
+    sum of the counts of its high and low byte; unpacking all 2^16 masks at
+    once instead raised the peak RSS of an n=7 sweep by 1.7 MB."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    byte = bits.sum(axis=1, dtype=np.uint8)
+    return np.add.outer(byte, byte).ravel()
+
+
+@functools.cache
+def _half_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Neighbour masks of the edges in the low and in the high half of an
+    edge-subset mask, indexed by that half's value."""
+    edges = search._edge_list(n)
+    m_edges = len(edges)
+    low_bits = m_edges // 2
+    tables = []
+    for lo, width in ((0, low_bits), (low_bits, m_edges - low_bits)):
+        half = np.arange(1 << width, dtype=np.int64) << lo
+        rows = np.zeros((half.size, n), dtype=np.uint16)
+        for b, (i, j) in enumerate(edges):
+            bit = m_edges - 1 - b
+            if lo <= bit < lo + width:
+                present = ((half >> bit) & 1).astype(np.uint16)
+                rows[:, i] |= present << j
+                rows[:, j] |= present << i
+        tables.append(rows)
+    return low_bits, tables[0], tables[1]
+
+
+def _nbr_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """(N, n) neighbour masks of the graphs with these edge-subset masks."""
+    low_bits, low, high = _half_tables(n)
+    return low[masks & ((1 << low_bits) - 1)] | high[masks >> low_bits]
 
 
 # -- batch graph predicates --------------------------------------------------
@@ -112,7 +157,7 @@ def _odd_cycle_rows(nbr: np.ndarray) -> np.ndarray:
 def _cycle_len_rows(nbr: np.ndarray) -> np.ndarray:
     """Per row, the number of vertices left once leaves are peeled off
     repeatedly: the length of the cycle of a connected graph with n edges."""
-    pop = search._popcount()
+    pop = _popcount()
     rows, n = nbr.shape
     vertex = (1 << np.arange(n)).astype(np.uint16)
     alive = np.full(rows, (1 << n) - 1, dtype=np.uint16)
@@ -139,7 +184,7 @@ def _members(q, masks: np.ndarray, nbr: np.ndarray, any_pendants: bool):
         min_edges = n - 1
     if q.require_nonbipartite:
         min_edges = max(min_edges, n if q.require_connected else 3)
-    degs = search._popcount()[nbr]
+    degs = _popcount()[nbr]
     keep = degs.sum(axis=1) >= 2 * min_edges
     if not any_pendants:
         keep &= (degs == 1).sum(axis=1) == q.k
@@ -187,7 +232,7 @@ def _candidates(n: int, unicyclic: bool, shard_index: int, shard_count: int):
     m_edges = n * (n - 1) // 2
     edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
     total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
-    for start, stop in search._shard_chunks(total, shard_index, shard_count):
+    for start, stop in search._shard_chunks(total, shard_index, shard_count, _CHUNK):
         if unicyclic:
             # the name keeps this block's subsets alive while the next block
             # is unranked: freed sooner, their memory goes back to the OS and
@@ -204,7 +249,7 @@ def _class_stream(q, shard_index: int, shard_count: int):
     count is the number of members in the block."""
     unicyclic = q.unicyclic_girth is not None
     for masks in _candidates(q.n, unicyclic, shard_index, shard_count):
-        kept, nbr = _members(q, masks, search._nbr_rows(q.n, masks), any_pendants=False)
+        kept, nbr = _members(q, masks, _nbr_rows(q.n, masks), any_pendants=False)
         yield kept, nbr, kept.size
 
 
@@ -271,7 +316,7 @@ def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
     struck = np.zeros(1 << m * (m - 1) // 2, dtype=bool)
     cores = []
     for masks in _candidates(m, False, 0, 1):
-        masks, _ = _members(query, masks, search._nbr_rows(m, masks), any_pendants=True)
+        masks, _ = _members(query, masks, _nbr_rows(m, masks), any_pendants=True)
         while True:
             masks = masks[~struck[masks]]
             if not masks.size:

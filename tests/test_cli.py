@@ -112,8 +112,8 @@ def test_verify_capacity_exit(capsys):
     [
         (("max", "--n", "9", "--k", "1"), "general classes are searched up to order 8"),
         (
-            ("unicyclic-min", "--n", "10", "--k", "1", "--g", "3"),
-            "unicyclic classes are searched up to order 9",
+            ("unicyclic-min", "--n", "17", "--k", "1", "--g", "3"),
+            "unicyclic classes are searched up to order 16",
         ),
     ],
 )
@@ -122,6 +122,14 @@ def test_verify_names_the_order_cap(capsys, argv, cap):
     assert code == 2
     assert out == ""
     assert f"error: order {argv[2]} is over the cap: {cap}" in err
+
+
+def test_verify_unicyclic_min_past_order_nine(capsys):
+    code, out, _ = run(
+        capsys, "verify", "unicyclic-min", "--n", "12", "--k", "1", "--g", "3"
+    )
+    assert code == 0
+    assert "confirmed: true" in out
 
 
 def test_scan_alpha_csv(capsys):

@@ -150,8 +150,8 @@ def test_branch_sweep_small_classes():
             enumerate_class(ClassQuery(n=n, k=k), check_graph)
     for n in (6, 7):
         for k in range(1, n - 2):
-            for g in search._witness_graphs(n, search._representatives(n, k)[0]):
-                check_graph(g)
+            for row in search._representatives(n, k)[0].tolist():
+                check_graph(Graph(n, tuple(row)))
 
     rng = random.Random(101)
     for n, quota in ((6, 500), (7, 400)):

@@ -143,8 +143,15 @@ def _graph_of_mask(n, mask):
     return Graph.from_edges(n, [pairs[b] for b in range(m) if (mask >> (m - 1 - b)) & 1])
 
 
+def _mask_of(n, nbr):
+    """The edge-subset mask of the graph with these neighbour rows."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    m = len(pairs)
+    return sum(1 << (m - 1 - b) for b, (i, j) in enumerate(pairs) if (nbr[j] >> i) & 1)
+
+
 def _check_batch_predicates(n, masks):
-    nbr = search._nbr_rows(n, np.asarray(masks, dtype=np.int64))
+    nbr = labeled._nbr_rows(n, np.asarray(masks, dtype=np.int64))
     connected = labeled._connected_rows(nbr).tolist()
     odd_cycle = labeled._odd_cycle_rows(nbr).tolist()
     cycle_len = labeled._cycle_len_rows(nbr).tolist()
@@ -258,7 +265,7 @@ def test_unicyclic_shard_at_order_nine_is_a_rank_range_in_bounded_memory():
     q = ClassQuery(n=9, k=1, unicyclic_girth=3)
     total = math.comb(36, 9)
     seen = []
-    search._half_tables.cache_clear()
+    labeled._half_tables.cache_clear()
     labeled._rank_offsets.cache_clear()
     tracemalloc.start()
     try:
@@ -315,11 +322,11 @@ def test_rank_inverts_unrank(n):
 
 
 def test_capacity_caps():
-    # general classes are searched up to order 8, unicyclic ones up to 9
+    # general classes are searched up to order 8, unicyclic ones up to 16
     for q, cap in (
         (ClassQuery(n=9, k=1), 8),
         (ClassQuery(n=9, k=2), 8),  # its cores, of order 7, exist: refused all the same
-        (ClassQuery(n=10, k=1, unicyclic_girth=3), 9),
+        (ClassQuery(n=17, k=1, unicyclic_girth=3), 16),
     ):
         with pytest.raises(CapacityExceededError, match=f"up to order {cap}"):
             find_extremal(q, "min")
@@ -397,8 +404,8 @@ def test_unicyclic_core_route_matches_labeled_scan_at_order_eight(g):
     q = ClassQuery(n=8, k=0, unicyclic_girth=g)
     by_k = {}
     for masks in labeled._candidates(8, True, 0, 1):
-        masks, nbr = labeled._members(q, masks, search._nbr_rows(8, masks), any_pendants=True)
-        pendants = (search._popcount()[nbr] == 1).sum(axis=1)
+        masks, nbr = labeled._members(q, masks, labeled._nbr_rows(8, masks), any_pendants=True)
+        pendants = (labeled._popcount()[nbr] == 1).sum(axis=1)
         for k in range(6):
             at = pendants == k
             by_k.setdefault(k, []).append((masks[at], nbr[at], int(at.sum())))
@@ -425,52 +432,79 @@ def test_unicyclic_generator_matches_oeis():
     classes, labeled = [], []
     for n in range(3, 10):
         per_girth = [search._unicyclic_classes(n, g) for g in range(3, n + 1)]
-        classes.append(sum(masks.size for masks, _, _ in per_girth))
+        classes.append(sum(len(rows) for rows, _, _ in per_girth))
         labeled.append(sum(int(counts.sum()) for _, _, counts in per_girth))
     assert classes == [1, 2, 5, 13, 33, 89, 240]
     assert labeled == [1, 15, 222, 3660, 68295, 1436568, 33779340]
 
 
+def test_unicyclic_labeled_totals_match_closed_form():
+    # A057500: (n - 1)!/2 * sum over j = 0..n-3 of n^j/j! labeled connected
+    # unicyclic graphs; counts are summed as Python ints
+    for n in range(3, 13):
+        expected = sum(math.factorial(n - 1) // math.factorial(j) * n**j for j in range(n - 2))
+        total = sum(
+            sum(search._unicyclic_classes(n, g)[2].tolist()) for g in range(3, n + 1)
+        )
+        assert total == expected // 2, n
+
+
+def test_unicyclic_classes_past_int64_masks():
+    # 66 edges at order 12: an edge-subset mask no longer fits in int64
+    for g in range(3, 13):
+        rows, pendants, counts = search._unicyclic_classes(12, g)
+        assert rows.dtype == np.uint16 and rows.shape == (len(counts), 12)
+        bits = (rows[:, :, None] >> np.arange(12)) & 1
+        assert (bits == bits.transpose(0, 2, 1)).all()  # symmetric
+        assert not bits[:, np.arange(12), np.arange(12)].any()  # no loops
+        assert (bits.sum(axis=(1, 2)) == 24).all()  # 12 edges
+        assert (pendants == (bits.sum(axis=2) == 1).sum(axis=1)).all()
+
+
 def test_unicyclic_core_class_counts():
     for m in range(3, 7):
         for g in range(3, m + 1):
-            masks, pendants, counts = search._unicyclic_classes(m, g)
+            rows, pendants, counts = search._unicyclic_classes(m, g)
             expected = _pairwise_dedup_graphs(_labeled_unicyclic(m, g))
-            assert len(masks) == len(expected), (m, g)
-            assert not any(
-                is_isomorphic(_graph_of_mask(m, a), _graph_of_mask(m, b))
-                for a, b in itertools.combinations(masks.tolist(), 2)
-            )
-            for mask, k, count in zip(masks.tolist(), pendants.tolist(), counts.tolist()):
-                graph = _graph_of_mask(m, mask)
+            graphs = [Graph(m, tuple(row)) for row in rows.tolist()]
+            assert len(graphs) == len(expected), (m, g)
+            assert not any(is_isomorphic(a, b) for a, b in itertools.combinations(graphs, 2))
+            for graph, k, count in zip(graphs, pendants.tolist(), counts.tolist()):
                 assert girth(graph) == g and is_connected(graph) and graph.edge_count == m
                 assert k == sum(1 for d in graph.degrees() if d == 1)
                 # orbit-stabilizer: n!/|Aut| distinct labelings
+                mask = _mask_of(m, graph.nbr)
                 assert count == len(set(search._orbit(m, mask).tolist()))
 
 
 def test_unicyclic_search_at_order_nine_in_bounded_memory():
     # the classes come from tree codes and each witness is named by search
+    _check_cold_unicyclic_search_memory(9)
+
+
+def test_unicyclic_search_at_order_twelve_in_bounded_memory():
+    _check_cold_unicyclic_search_memory(12)
+
+
+def _check_cold_unicyclic_search_memory(n):
     for cache in (
-        search._half_tables,
         search._rooted_trees,
         search._tree_automorphisms,
         search._unicyclic_classes,
         search._run_scan,
         search._search,
-        search._permutations,
     ):
         cache.cache_clear()
     tracemalloc.start()
     try:
-        res = find_extremal(ClassQuery(n=9, k=1, unicyclic_girth=3), "min")
+        res = find_extremal(ClassQuery(n=n, k=1, unicyclic_girth=3), "min")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert res.graphs_examined == math.factorial(9) // 2  # a tadpole: |Aut| = 2
+    assert res.graphs_examined == math.factorial(n) // 2  # a tadpole: |Aut| = 2
     assert len(res.witnesses) == 1
-    assert is_isomorphic(res.witnesses[0], build_U_std(9, 1, 3)[0])
+    assert is_isomorphic(res.witnesses[0], build_U_std(n, 1, 3)[0])
 
 
 def test_lowest_mask_matches_orbit_minimum():
@@ -478,15 +512,18 @@ def test_lowest_mask_matches_orbit_minimum():
     graphs += [(n, (1 << n * (n - 1) // 2) - 1) for n in range(1, 9)]
     for n in range(3, 9):
         for g in range(3, n + 1):
-            graphs += [(n, mask) for mask in search._unicyclic_classes(n, g)[0].tolist()]
+            rows = search._unicyclic_classes(n, g)[0].tolist()
+            graphs += [(n, _mask_of(n, row)) for row in rows]
     for n in range(4, 8):
         for k in range(0, n - 2):
-            graphs += [(n, mask) for mask in search._representatives(n, k)[0].tolist()]
+            rows = search._representatives(n, k)[0].tolist()
+            graphs += [(n, _mask_of(n, row)) for row in rows]
     rng = random.Random(2024)
     for n in range(2, 9):
         graphs += [(n, rng.getrandbits(n * (n - 1) // 2)) for _ in range(300)]
     for n, mask in graphs:
-        assert search._lowest_mask(n, mask) == int(search._orbit(n, mask).min()), (n, mask)
+        nbr = _graph_of_mask(n, mask).nbr
+        assert search._lowest_mask(n, nbr) == int(search._orbit(n, mask).min()), (n, mask)
 
 
 def test_generators_emit_one_graph_per_class():
@@ -494,16 +531,16 @@ def test_generators_emit_one_graph_per_class():
     # them: no two representatives share a lowest mask
     for n in range(3, 10):
         lowest = [
-            search._lowest_mask(n, mask)
+            search._lowest_mask(n, row)
             for g in range(3, n + 1)
-            for mask in search._unicyclic_classes(n, g)[0].tolist()
+            for row in search._unicyclic_classes(n, g)[0].tolist()
         ]
         assert len(set(lowest)) == len(lowest), n
     for n in range(4, 8):
         lowest = [
-            search._lowest_mask(n, mask)
+            search._lowest_mask(n, row)
             for k in range(0, n - 2)
-            for mask in search._representatives(n, k)[0].tolist()
+            for row in search._representatives(n, k)[0].tolist()
         ]
         assert len(set(lowest)) == len(lowest), n
 
