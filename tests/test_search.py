@@ -526,6 +526,27 @@ def test_lowest_mask_matches_orbit_minimum():
         assert search._lowest_mask(n, nbr) == int(search._orbit(n, mask).min()), (n, mask)
 
 
+def test_lowest_mask_is_canonical_past_order_nine():
+    # too many relabellings to compare with the orbit: the mask must not
+    # move under relabelling, must not exceed the graph's own mask, and
+    # must name an isomorphic graph (dense order-16 graphs reach 15-bit codes)
+    rng = random.Random(16)
+    graphs = [build_U_std(12, 2, 5)[0], build_U_std(13, 1, 3)[0]]
+    for n in (14, 15, 16, 16, 16):
+        pairs = itertools.combinations(range(n), 2)
+        graphs.append(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.7]))
+    rows = search._unicyclic_classes(12, 3)[0].tolist()
+    graphs += [Graph(12, tuple(row)) for row in rng.sample(rows, 20)]
+    for graph in graphs:
+        n = graph.n
+        lowest = search._lowest_mask(n, graph.nbr)
+        assert lowest <= _mask_of(n, graph.nbr)
+        assert is_isomorphic(search._witness_graphs(n, [lowest])[0], graph)
+        perm = rng.sample(range(n), n)
+        moved = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges()])
+        assert search._lowest_mask(n, moved.nbr) == lowest
+
+
 def test_generators_emit_one_graph_per_class():
     # what lets the by-class route name witnesses without deduplicating
     # them: no two representatives share a lowest mask
