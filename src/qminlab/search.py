@@ -5,12 +5,13 @@ A labeled graph of order n <= 16 travels as its neighbour rows: n uint16
 masks, bit u of row v set when u and v are adjacent.  A search eigensolves
 one representative per isomorphism class, and each class counts n!/|Aut|
 towards ``graphs_examined``.  Two generators build the representatives'
-rows straight from their edge lists, and neither enumerates labeled
-candidates:
+rows straight from their edge lists for the one pendant count k asked, and
+neither enumerates labeled candidates:
 
 * every unicyclic class from tree codes (see ``_unicyclic_classes``): the
   cycle C_g with a rooted tree hung at each cycle vertex, one cyclic
-  sequence of trees per class;
+  sequence of trees per class, drawing only trees and prefixes that can
+  still make exactly k pendants;
 * every general class (connected, non-bipartite, exactly k >= 0 pendants)
   as a core plus a pendant placement (see ``_representatives``): the cores
   of order n - k are the connected non-bipartite graphs of that order, one
@@ -38,12 +39,12 @@ edge subset of K_n as a Python int: edge b of K_n (column order: (0,1),
 
 from __future__ import annotations
 
-import array
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -209,97 +210,117 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(counts)
 
 
+class _Tree(NamedTuple):
+    """A rooted tree.  Keys are distinct, so records compare as their keys
+    do: by size, then by their children's keys in turn."""
+
+    key: tuple  # subtree sizes in preorder, children in key order
+    pendants: int  # leaves besides the root
+    aut: int  # automorphisms fixing the root
+    template: tuple  # each non-root vertex's parent, in preorder; the root is 0
+    tree: tuple  # the sorted tuple of the root's child subtrees; a lone vertex is ()
+
+
 @functools.cache
-def _rooted_trees(size: int) -> tuple[tuple, ...]:
-    """The rooted trees on ``size`` vertices, one per isomorphism class, each
-    the sorted tuple of its root's child subtrees (a lone vertex is ()).
+def _rooted_trees(size: int, pendants: int) -> tuple[_Tree, ...]:
+    """The rooted trees on ``size`` vertices with ``pendants`` leaves besides
+    the root, one per isomorphism class, in key order.
 
     A tree is a root over a multiset of smaller trees whose sizes sum to
-    size - 1.  Each multiset is drawn once, as a non-decreasing sequence of
-    positions in the list of smaller trees ordered by size, and sorting the
-    children names isomorphic trees by the same tuple.
+    size - 1 and whose leaves sum to ``pendants``, a lone child being one
+    leaf.  Each multiset is drawn once, as a non-decreasing sequence of
+    (size, leaves, index) positions, and a child is drawn only when the
+    room left can still hold exactly the leaves left (r >= 1 vertices hold
+    1..r).  Preorder takes the children in ``tree`` order, and |Aut| is the
+    product over the distinct children c, taken m times, of m! * |Aut(c)|^m.
     """
-    smaller = [(s, tree) for s in range(1, size) for tree in _rooted_trees(s)]
     trees = []
 
-    def forests(start: int, room: int, children: tuple):
-        if not room:
-            trees.append(tuple(sorted(children)))
-        for at in range(start, len(smaller)):
-            s, tree = smaller[at]
-            if s > room:
-                break
-            forests(at, room - s, children + (tree,))
+    def forests(start: tuple, room: int, leaves: int, children: tuple):
+        if not room and not leaves:
+            children = sorted(children, key=lambda c: c.tree)
+            up, aut = [], 1
+            for c in children:
+                up += [0] + [len(up) + 1 + p for p in c.template]
+            for c, same in itertools.groupby(children):
+                m = len(list(same))
+                aut *= math.factorial(m) * c.aut**m
+            key = (size,) + tuple(itertools.chain(*sorted(c.key for c in children)))
+            trees.append(_Tree(key, pendants, aut, tuple(up), tuple(c.tree for c in children)))
+        for s in range(start[0], room + 1):
+            lo, hi = max(1, leaves - room + s), min(leaves - (s < room), max(1, s - 1))
+            for l in range(max(lo, start[1]) if s == start[0] else lo, hi + 1):
+                kids = _rooted_trees(s, l if s > 1 else 0)
+                for at in range(start[2] if (s, l) == start[:2] else 0, len(kids)):
+                    forests((s, l, at), room - s, leaves - l, children + (kids[at],))
 
-    forests(0, size - 1, ())
-    return tuple(trees)
-
-
-@functools.cache
-def _tree_automorphisms(tree: tuple) -> int:
-    """|Aut| of a rooted tree: prod over its distinct child subtrees c, taken
-    m times, of m! * |Aut(c)|^m."""
-    count = 1
-    for child, copies in itertools.groupby(tree):
-        m = len(list(copies))
-        count *= math.factorial(m) * _tree_automorphisms(child) ** m
-    return count
+    forests((1, 1, 0), size - 1, pendants, ())
+    return tuple(sorted(trees))
 
 
 @functools.cache
-def _unicyclic_classes(n: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The connected unicyclic graphs of order n whose cycle has length g,
-    one per isomorphism class, in a fixed generation order: (neighbour rows,
-    pendant counts, the number of labeled graphs in each class).
+def _unicyclic_classes(n: int, g: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The connected unicyclic graphs of order n with exactly k pendant
+    vertices whose cycle has length g, one per isomorphism class, in a fixed
+    generation order: (neighbour rows, the number of labeled graphs in each
+    class).
 
     Such a graph is the cycle C_g with a rooted tree hung at each cycle
-    vertex, and two of them are isomorphic exactly when a rotation or
-    reflection of the cycle carries one sequence of trees onto the other.
-    The sequences of positions in the list of rooted trees ordered by size
-    whose sizes sum to n run in lexicographic order, and each is kept when
-    it is the least of its 2g images.  |Aut| is the number of images equal
-    to it times the product of the trees' automorphism counts, so the class
-    has n!/|Aut| labelings.  Cycle vertex i keeps label i; the other
-    vertices of the trees follow in preorder.
+    vertex, its pendants are the trees' non-root leaves, and two of them are
+    isomorphic exactly when a rotation or reflection of the cycle carries
+    one sequence of trees onto the other.  The sequences of trees in key
+    order whose sizes sum to n and whose pendants sum to k run in
+    lexicographic order, and each is kept when it is the least of its 2g
+    images.  A slot draws only from the ``_rooted_trees`` buckets that leave
+    the q later slots (r vertices, trees at least the first's size m) room
+    for exactly the pendants left: r - q at most, and at least q if m >= 2,
+    else min(1, r - q).  |Aut| is the number of images equal to the sequence
+    times the trees' automorphism counts, so the class has n!/|Aut|
+    labelings.  Cycle vertex i keeps label i; the trees' other vertices
+    follow in preorder, each tree's template shifted into place.
     """
-    trees = [(s, tree) for s in range(1, n - g + 2) for tree in _rooted_trees(s)]
-    rows, counts = array.array("H"), []
+    seqs = []
 
-    def sequences(prefix: tuple, room: int):
-        if len(prefix) == g:
-            if not room:
-                yield prefix
+    def extend(prefix: tuple, room: int, left: int, period: int):
+        # necklace prefixes (Fredricksen-Kessler-Maiorana): an entry is at
+        # least the one a period back, and a larger one starts a new period
+        slots = g - len(prefix) - 1  # after this one
+        lo = prefix[-period] if prefix else ()
+        if not slots:  # and reflecting through the first puts the last second
+            last = _rooted_trees(room, left)
+            for t in last[bisect.bisect_left(last, max(lo, prefix[1])) :]:
+                if g % (period if t == lo else g) == 0:
+                    seqs.append(prefix + (t,))
             return
-        # an entry below the first would start a smaller rotation
-        for at in range(prefix[0] if prefix else 0, len(trees)):
-            if trees[at][0] > room - (g - len(prefix) - 1):
+        for s in range(lo.key[0] if prefix else 1, room):
+            least, rest = prefix[0].key[0] if prefix else s, room - s
+            if slots * least > rest:
                 break
-            yield from sequences(prefix + (at,), room - trees[at][0])
+            fewest = slots if least > 1 else min(1, rest - slots)
+            spread = range(max(0, left - rest + slots), min(s - 1, left - fewest) + 1)
+            trees = sorted(itertools.chain(*(_rooted_trees(s, p) for p in spread)))
+            for t in trees[bisect.bisect_left(trees, lo) :]:
+                grown = period if t == lo else len(prefix) + 1
+                extend(prefix + (t,), rest, left - t.pendants, grown)
 
-    def hang(edges: list, parent: int, tree: tuple):
-        for child in tree:
-            # as many edges as vertices so far: the new vertex is len(edges)
-            edges.append((parent, len(edges)))
-            hang(edges, len(edges) - 1, child)
-
-    for seq in sequences((), n):
-        images = [seq[r:] + seq[:r] for r in range(g)]
-        images += [image[::-1] for image in images]
+    extend((), n, k, 1)
+    parents, counts = [], []
+    for seq in seqs:
+        images = [c[r:] + c[:r] for c in (seq, seq[::-1]) for r in range(g) if c[r] == seq[0]]
         if min(images) < seq:
             continue
-        edges = [(i, i + 1) for i in range(g - 1)] + [(0, g - 1)]
-        for i, at in enumerate(seq):
-            hang(edges, i, trees[at][1])
-        nbr = [0] * n
-        for i, j in edges:
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-        rows.extend(nbr)
-        aut = images.count(seq) * math.prod(_tree_automorphisms(trees[at][1]) for at in seq)
-        counts.append(math.factorial(n) // aut)
-    rows = np.array(rows, dtype=np.uint16).reshape(-1, n)
-    pendants = ((rows & (rows - 1)) == 0).sum(axis=1)  # rows with one bit
-    return rows, pendants, np.array(counts, dtype=np.int64)
+        base = g
+        for i, t in enumerate(seq):
+            parents += [base - 1 + p if p else i for p in t.template]
+            base += len(t.template)
+        counts.append(math.factorial(n) // (images.count(seq) * math.prod(t.aut for t in seq)))
+    parents = np.array(parents, dtype=np.int64).reshape(len(counts), n - g)
+    rows = np.zeros((len(counts), n), dtype=np.uint16)
+    rows[:, :g] = [1 << (i - 1) % g | 1 << (i + 1) % g for i in range(g)]
+    rows[:, g:] = 1 << parents
+    for j in range(n - g):
+        rows[np.arange(len(counts)), parents[:, j]] |= np.uint16(1 << (g + j))
+    return rows, np.array(counts, dtype=np.int64)
 
 
 def _class_rows(q: ClassQuery) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +335,9 @@ def _class_rows(q: ClassQuery) -> tuple[np.ndarray, np.ndarray]:
         raise CapacityExceededError(
             f"order {q.n} is over the cap: {kind} classes are searched up to order {cap}"
         )
-    if not unicyclic:
-        return _representatives(q.n, q.k)
-    rows, pendants, counts = _unicyclic_classes(q.n, q.unicyclic_girth)
-    return rows[pendants == q.k], counts[pendants == q.k]
+    if unicyclic:
+        return _unicyclic_classes(q.n, q.unicyclic_girth, q.k)
+    return _representatives(q.n, q.k)
 
 
 def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):

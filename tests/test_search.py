@@ -422,18 +422,24 @@ def _labeled_unicyclic(m, g):
             yield graph
 
 
+def _unicyclic_cells(n):
+    """Every (g, k) of order n: each cycle length, even ones included, and
+    each pendant count it leaves room for."""
+    return [(g, k) for g in range(3, n + 1) for k in range(n - g + 1)]
+
+
 def test_unicyclic_generator_matches_oeis():
-    # rooted trees (OEIS A000081), then connected unicyclic graphs summed
-    # over every cycle length, even ones included: up to isomorphism
-    # (A001429) and labeled (A057500)
-    assert [len(search._rooted_trees(s)) for s in range(1, 10)] == [
+    # rooted trees (OEIS A000081) summed over their pendant counts, then
+    # connected unicyclic graphs summed over every cycle length and pendant
+    # count: up to isomorphism (A001429) and labeled (A057500)
+    assert [sum(len(search._rooted_trees(s, p)) for p in range(s)) for s in range(1, 10)] == [
         1, 1, 2, 4, 9, 20, 48, 115, 286
     ]
     classes, labeled = [], []
     for n in range(3, 10):
-        per_girth = [search._unicyclic_classes(n, g) for g in range(3, n + 1)]
-        classes.append(sum(len(rows) for rows, _, _ in per_girth))
-        labeled.append(sum(int(counts.sum()) for _, _, counts in per_girth))
+        cells = [search._unicyclic_classes(n, g, k) for g, k in _unicyclic_cells(n)]
+        classes.append(sum(len(rows) for rows, _ in cells))
+        labeled.append(sum(int(counts.sum()) for _, counts in cells))
     assert classes == [1, 2, 5, 13, 33, 89, 240]
     assert labeled == [1, 15, 222, 3660, 68295, 1436568, 33779340]
 
@@ -444,37 +450,41 @@ def test_unicyclic_labeled_totals_match_closed_form():
     for n in range(3, 13):
         expected = sum(math.factorial(n - 1) // math.factorial(j) * n**j for j in range(n - 2))
         total = sum(
-            sum(search._unicyclic_classes(n, g)[2].tolist()) for g in range(3, n + 1)
+            sum(search._unicyclic_classes(n, g, k)[1].tolist()) for g, k in _unicyclic_cells(n)
         )
         assert total == expected // 2, n
 
 
 def test_unicyclic_classes_past_int64_masks():
     # 66 edges at order 12: an edge-subset mask no longer fits in int64
-    for g in range(3, 13):
-        rows, pendants, counts = search._unicyclic_classes(12, g)
+    for g, k in _unicyclic_cells(12):
+        rows, counts = search._unicyclic_classes(12, g, k)
         assert rows.dtype == np.uint16 and rows.shape == (len(counts), 12)
         bits = (rows[:, :, None] >> np.arange(12)) & 1
         assert (bits == bits.transpose(0, 2, 1)).all()  # symmetric
         assert not bits[:, np.arange(12), np.arange(12)].any()  # no loops
         assert (bits.sum(axis=(1, 2)) == 24).all()  # 12 edges
-        assert (pendants == (bits.sum(axis=2) == 1).sum(axis=1)).all()
+        assert ((bits.sum(axis=2) == 1).sum(axis=1) == k).all()  # k one-bit rows
 
 
 def test_unicyclic_core_class_counts():
     for m in range(3, 7):
         for g in range(3, m + 1):
-            rows, pendants, counts = search._unicyclic_classes(m, g)
-            expected = _pairwise_dedup_graphs(_labeled_unicyclic(m, g))
-            graphs = [Graph(m, tuple(row)) for row in rows.tolist()]
-            assert len(graphs) == len(expected), (m, g)
-            assert not any(is_isomorphic(a, b) for a, b in itertools.combinations(graphs, 2))
-            for graph, k, count in zip(graphs, pendants.tolist(), counts.tolist()):
-                assert girth(graph) == g and is_connected(graph) and graph.edge_count == m
-                assert k == sum(1 for d in graph.degrees() if d == 1)
-                # orbit-stabilizer: n!/|Aut| distinct labelings
-                mask = _mask_of(m, graph.nbr)
-                assert count == len(set(search._orbit(m, mask).tolist()))
+            labeled_graphs = list(_labeled_unicyclic(m, g))
+            for k in range(m - g + 1):
+                rows, counts = search._unicyclic_classes(m, g, k)
+                expected = _pairwise_dedup_graphs(
+                    graph for graph in labeled_graphs if graph.degrees().count(1) == k
+                )
+                graphs = [Graph(m, tuple(row)) for row in rows.tolist()]
+                assert len(graphs) == len(expected), (m, g, k)
+                assert not any(is_isomorphic(a, b) for a, b in itertools.combinations(graphs, 2))
+                for graph, count in zip(graphs, counts.tolist()):
+                    assert girth(graph) == g and is_connected(graph) and graph.edge_count == m
+                    assert graph.degrees().count(1) == k
+                    # orbit-stabilizer: n!/|Aut| distinct labelings
+                    mask = _mask_of(m, graph.nbr)
+                    assert count == len(set(search._orbit(m, mask).tolist()))
 
 
 def test_unicyclic_search_at_order_nine_in_bounded_memory():
@@ -486,15 +496,28 @@ def test_unicyclic_search_at_order_twelve_in_bounded_memory():
     _check_cold_unicyclic_search_memory(12)
 
 
-def _check_cold_unicyclic_search_memory(n):
-    for cache in (
-        search._rooted_trees,
-        search._tree_automorphisms,
-        search._unicyclic_classes,
-        search._run_scan,
-        search._search,
-    ):
+def test_unicyclic_classes_for_one_pendant_count_in_bounded_memory():
+    # a cold k = 1 build at order 16 makes only paths and the one tadpole
+    # class: about 20 KB at peak, where building all 110,499 classes of
+    # order 16 and girth 3 takes about 26 MB
+    _clear_unicyclic_caches()
+    tracemalloc.start()
+    try:
+        rows, counts = search._unicyclic_classes(16, 3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(rows) == 1 and counts.tolist() == [math.factorial(16) // 2]
+
+
+def _clear_unicyclic_caches():
+    for cache in (search._rooted_trees, search._unicyclic_classes, search._run_scan, search._search):
         cache.cache_clear()
+
+
+def _check_cold_unicyclic_search_memory(n):
+    _clear_unicyclic_caches()
     tracemalloc.start()
     try:
         res = find_extremal(ClassQuery(n=n, k=1, unicyclic_girth=3), "min")
@@ -511,8 +534,8 @@ def test_lowest_mask_matches_orbit_minimum():
     graphs = [(n, 0) for n in range(1, 9)]
     graphs += [(n, (1 << n * (n - 1) // 2) - 1) for n in range(1, 9)]
     for n in range(3, 9):
-        for g in range(3, n + 1):
-            rows = search._unicyclic_classes(n, g)[0].tolist()
+        for g, k in _unicyclic_cells(n):
+            rows = search._unicyclic_classes(n, g, k)[0].tolist()
             graphs += [(n, _mask_of(n, row)) for row in rows]
     for n in range(4, 8):
         for k in range(0, n - 2):
@@ -535,7 +558,7 @@ def test_lowest_mask_is_canonical_past_order_nine():
     for n in (14, 15, 16, 16, 16):
         pairs = itertools.combinations(range(n), 2)
         graphs.append(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.7]))
-    rows = search._unicyclic_classes(12, 3)[0].tolist()
+    rows = [row for k in range(10) for row in search._unicyclic_classes(12, 3, k)[0].tolist()]
     graphs += [Graph(12, tuple(row)) for row in rng.sample(rows, 20)]
     for graph in graphs:
         n = graph.n
@@ -553,8 +576,8 @@ def test_generators_emit_one_graph_per_class():
     for n in range(3, 10):
         lowest = [
             search._lowest_mask(n, row)
-            for g in range(3, n + 1)
-            for row in search._unicyclic_classes(n, g)[0].tolist()
+            for g, k in _unicyclic_cells(n)
+            for row in search._unicyclic_classes(n, g, k)[0].tolist()
         ]
         assert len(set(lowest)) == len(lowest), n
     for n in range(4, 8):
