@@ -31,10 +31,10 @@ the unsharded ones bit for bit because ``qmin_stack`` gives each matrix the
 same least eigenvalue whatever batch it is solved in (a test re-proves this
 on a whole class).  A scan keeps the positions of the representatives
 within the tie window.  Tied witnesses are reported one per isomorphism
-class, each relabelled to the lowest mask of its orbit, found by search
-(``_lowest_mask``), and only for the objective asked for.  A mask is an
-edge subset of K_n as a Python int: edge b of K_n (column order: (0,1),
-(0,2), (1,2), (0,3), ...) occupies bit M-1-b.
+class, each relabelled to the lowest mask of its orbit, found by a search
+over ordered partitions (``_lowest_mask``), and only for the objective
+asked for.  A mask is an edge subset of K_n as a Python int: edge b of K_n
+(column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import CapacityExceededError, InvalidParameterError
 from .families import PendantProfile, build_K, build_U_std
-from .graphs import Graph, coalesce, is_connected, two_coloring
+from .graphs import Graph, _bits, coalesce, is_connected, two_coloring
 from .patterns import PatternReport
 from .spectra import q_matrix, q_min_of, qmin_stack
 
@@ -461,38 +461,92 @@ def _orbit(n: int, mask: int) -> np.ndarray:
 
 def _lowest_mask(n: int, nbr) -> int:
     """The lowest mask over all relabellings of the graph with these
-    neighbour rows, found by search instead of by enumerating the n! of
-    them.
+    neighbour rows, found without enumerating the n! of them.
 
-    Column j of a mask is the adjacency of the vertex labelled j to labels
-    0..j-1, (0, j) its most significant bit, so the lowest mask is the
-    lexicographic minimum of the columns taken in order.  Labels are given
-    one at a time, keeping only the labelling prefixes whose columns so far
-    are that minimum.  A prefix is held as a row of codes: entry v is v's
-    column against the prefix, or ``used`` once v is labelled, and labelling
-    u next turns each code c into 2c + adj(u, v).  Two prefixes whose rows
-    are equal have the same futures, so equal rows are merged (by
-    ``np.lexsort``: ``np.unique`` would import ``numpy.ma``).  Codes are
-    uint16: a code compared at label j has j <= 15 bits, below ``used``.
-    Equal columns can still leave many prefixes (the orderings of an
-    independent set): at order 16 a witness takes 0.4-2 s and 80-200 MB.
+    Column j of a mask is the adjacency of label j to labels 0..j-1, (0, j)
+    its top bit, so the lowest mask is the least sequence of columns.  The
+    labellings whose columns so far are least are held as states: ordered
+    partitions of the labelled vertices into blocks of consecutive labels,
+    each block's inner order left open.
+
+    * Seed: the lowest mask's first a columns are zero (a the independence
+      number), so its first a labels are a maximum independent set, in any
+      order: one one-block state per such set, found by branch and bound.
+    * Blocks: labels with one code against the blocks before them, pairwise
+      non-adjacent (columns c, 2c, 4c, ...) or adjacent (c, 2c+1, 4c+3, ...),
+      give the same columns in every inner order.  A vertex's least code
+      puts its neighbours last in each block; labelling it splits each block
+      into its non-neighbours, then its neighbours, unless it joins the last
+      block: same code before it, and sees none or all of it, as the
+      block's kind allows.
+    * Merge: states with the same unlabelled set, last block's code before
+      it and kind, and, block by block, multiset of members' neighbourhoods
+      among the unlabelled have the same futures; one is kept.
+
+    Twins (the same neighbours besides each other) are swapped by an
+    automorphism, so only the least unlabelled one of a twin class is
+    labelled next, and only seeds holding the least ones are kept.
     """
-    m_edges = n * (n - 1) // 2
-    adj = (np.asarray(nbr, dtype=np.uint16)[:, None] >> np.arange(n, dtype=np.uint16)) & 1
-    used = np.uint16(0xFFFF)  # above every code
-    codes = np.zeros((1, n), dtype=np.uint16)
-    lowest = 0
-    for j in range(n):
-        column = codes.min()
-        lowest |= int(column) << (m_edges - j * (j + 1) // 2)
-        rows, picked = np.nonzero(codes == column)
-        codes = codes[rows]
-        codes = np.where(codes == used, used, codes << 1 | adj[picked])
-        codes[np.arange(rows.size), picked] = used
-        codes = codes[np.lexsort(codes.T)]
-        fresh = np.ones(rows.size, dtype=bool)
-        fresh[1:] = (codes[1:] != codes[:-1]).any(axis=1)
-        codes = codes[fresh]
+    nbr = [int(row) for row in nbr]
+    m_edges, full, lowest = n * (n - 1) // 2, (1 << n) - 1, 0
+    lower = [0] * n  # each vertex's twins below it
+    for u, v in itertools.combinations(range(n), 2):
+        if nbr[u] ^ nbr[v] in (0, 1 << u | 1 << v):  # non-adjacent or adjacent twins
+            lower[v] |= 1 << u
+    seeds, alpha = [], [0]
+
+    def grow(chosen: int, size: int, left: int):  # take or drop the least vertex left
+        if size + left.bit_count() >= alpha[0]:
+            if not left:
+                if size > alpha[0]:
+                    alpha[0], seeds[:] = size, []
+                seeds.append(chosen)
+            else:
+                low = left & -left
+                grow(chosen | low, size + 1, left & ~nbr[low.bit_length() - 1] ^ low)
+                grow(chosen, size, left ^ low)
+
+    grow(0, 0, full)
+    # a state: its unlabelled set, its blocks, whether the last block is a
+    # clique, and which blocks before the last one its members see, as bits
+    seeds = [s for s in seeds if not any(lower[v] & ~s for v in _bits(s))]
+    states = [(full ^ s, (s,), False, 0) for s in seeds]
+    for j in range(alpha[0], n):
+        best, picks = 1 << j, []  # above every code of j bits
+        for state in states:
+            unlabelled, blocks = state[:2]
+            for v in _bits(unlabelled):
+                if lower[v] & unlabelled:
+                    continue
+                code = 0
+                for b in blocks:
+                    code = code << b.bit_count() | (1 << (nbr[v] & b).bit_count()) - 1
+                if code < best:
+                    best, picks = code, []
+                if code == best:
+                    picks.append((state, v))
+        lowest |= best << (m_edges - j * (j + 1) // 2)
+        merged = {}
+        for (unlabelled, blocks, clique, prior), v in picks:
+            row, rest, last = nbr[v], unlabelled ^ 1 << v, blocks[-1]
+            w = (last & -last).bit_length() - 1
+            kinds = (0, last) if last == 1 << w else (last if clique else 0,)
+            if not (row ^ nbr[w]) & (full ^ unlabelled ^ last) and row & last in kinds:
+                blocks, clique = blocks[:-1] + (last | 1 << v,), row & last > 0
+            else:
+                parts, prior = [], 0
+                for part in (p for b in blocks for p in (b & ~row, b & row) if p):
+                    parts.append(part)
+                    prior = prior << 1 | (part & row > 0)
+                blocks, clique = (*parts, 1 << v), False
+            members = tuple(
+                tuple(sorted(nbr[u] & rest for u in _bits(b)))
+                if b & b - 1
+                else nbr[b.bit_length() - 1] & rest
+                for b in blocks
+            )
+            merged.setdefault((rest, clique, prior, members), (rest, blocks, clique, prior))
+        states = list(merged.values())
     return lowest
 
 

@@ -148,8 +148,8 @@ def test_criterion_3_minimizers_over_pendant_classes():
 
 
 def test_criterion_4_unicyclic_minimizers():
-    with criterion(4, "exhaustive unicyclic minimizers, n<=13, girth 3 and 5"):
-        for n in range(5, 14):
+    with criterion(4, "exhaustive unicyclic minimizers, n<=16, girth 3 and 5"):
+        for n in range(5, 17):
             for g_len in (3, 5):
                 for k in range(1, n - g_len + 1):
                     if n + k + 1 - g_len - 2 * k < 1:

@@ -132,6 +132,14 @@ def test_verify_unicyclic_min_past_order_nine(capsys):
     assert "confirmed: true" in out
 
 
+def test_verify_unicyclic_min_at_the_order_cap(capsys):
+    code, out, _ = run(
+        capsys, "verify", "unicyclic-min", "--n", "16", "--k", "1", "--g", "3"
+    )
+    assert code == 0
+    assert "confirmed: true" in out
+
+
 def test_scan_alpha_csv(capsys):
     code, out, err = run(
         capsys, "scan", "alpha", "--n", "15", "--k", "1..2", "--g", "3,5"

@@ -516,18 +516,27 @@ def _clear_unicyclic_caches():
         cache.cache_clear()
 
 
-def _check_cold_unicyclic_search_memory(n):
+def test_unicyclic_search_at_the_order_cap_in_bounded_memory():
+    # a search that keeps every ordering of an independent set traces
+    # 39.6 and 154.6 MB naming these witnesses; the whole query takes
+    # about 0.02 and 5.3 MB, nearly all of the latter the 1,231 classes
+    _check_cold_unicyclic_search_memory(16, bound=2**20)
+    _check_cold_unicyclic_search_memory(16, k=5, g=9, bound=8 * 2**20)
+
+
+def _check_cold_unicyclic_search_memory(n, k=1, g=3, bound=64 * 2**20):
     _clear_unicyclic_caches()
     tracemalloc.start()
     try:
-        res = find_extremal(ClassQuery(n=n, k=1, unicyclic_girth=3), "min")
+        res = find_extremal(ClassQuery(n=n, k=k, unicyclic_girth=g), "min")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert res.graphs_examined == math.factorial(n) // 2  # a tadpole: |Aut| = 2
+    assert peak < bound
+    if k == 1:
+        assert res.graphs_examined == math.factorial(n) // 2  # a tadpole: |Aut| = 2
     assert len(res.witnesses) == 1
-    assert is_isomorphic(res.witnesses[0], build_U_std(n, 1, 3)[0])
+    assert is_isomorphic(res.witnesses[0], build_U_std(n, k, g)[0])
 
 
 def test_lowest_mask_matches_orbit_minimum():
@@ -568,6 +577,31 @@ def test_lowest_mask_is_canonical_past_order_nine():
         perm = rng.sample(range(n), n)
         moved = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges()])
         assert search._lowest_mask(n, moved.nbr) == lowest
+
+
+def test_lowest_mask_matches_prefix_search_past_order_eight():
+    # where the n! relabellings are too many to scan, the search over
+    # blocks of open order must name the same mask as the search over
+    # labelling prefixes
+    rng = random.Random(9)
+    graphs = []
+    for n in range(9, 12):
+        rows = [
+            row
+            for g, k in _unicyclic_cells(n)
+            for row in search._unicyclic_classes(n, g, k)[0].tolist()
+        ]
+        graphs += [(n, row) for row in rng.sample(rows, min(len(rows), 150))]
+    for n in range(9, 14):
+        pairs = list(itertools.combinations(range(n), 2))
+        for p in (0.5, 0.7, 0.9):
+            for _ in range(8):
+                graph = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+                graphs.append((n, graph.nbr))
+    for n in range(3, 17):
+        graphs += [(n, complete_graph(n).nbr), (n, cycle_graph(n).nbr), (n, (0,) * n)]
+    for n, nbr in graphs:
+        assert search._lowest_mask(n, nbr) == labeled.lowest_mask_by_prefixes(n, nbr), (n, nbr)
 
 
 def test_generators_emit_one_graph_per_class():
