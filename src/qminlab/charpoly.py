@@ -38,26 +38,28 @@ test V(lo) - V(mid) >= 1 answers as it must even when mid is a multiple
 root.  V(lo) is read at -infinity from the leading terms: no root lies at or
 below lo, so V is constant there.
 
-Certified bracket.  np.roots of the float square-free part (a companion
-matrix of the polynomial, never the matrix being checked) estimates the
-smallest root x.  L = x - delta and H = x + delta, delta = 1e-9 * (1 + |x|),
-are floats and so exact dyadic rationals.  Two chain counts from the Cauchy
-bound certify that no root is <= L and exactly one distinct root r is <= H;
-by the reading above a multiple root at L or H cannot certify falsely.  Then
-L < r <= H, and every step follows without the chain: a midpoint >= H has r
-in (lo, mid], one <= L has no root there, and one strictly between has r <=
-mid exactly when s, whose only root in (L, H] is the simple root r, vanishes
-there or has the sign opposite to s(L).  Each answer is the one the chain
-would give, so the bracket cannot change the result.  Without a finite
-estimate, or when a certificate fails, every step asks the chain.
+Certified bracket.  Laguerre's iteration on p (never the matrix being
+checked) estimates the smallest root x; L = l/b <= x - delta and
+H = h/b >= x + delta, delta = 1e-9 * (1 + |x|), b = 2^64.  The Taylor shift
+t_j, the coefficients of b^n p((l + u)/b) in powers of u, certifies that the
+smallest root r is simple and the one root in (L, H] when: t_0 != 0 and the
+t_j (-1)^j show no sign variation, so no root is <= L (Descartes' rule of
+signs on p(L - z)); p(H) is 0 or of the other sign; and |t_1| > sum over
+j >= 2 of j |t_j| (h - l)^(j-1), so p' has no root in [L, H].  A miss (a
+float estimate of an order-16 p, whose coefficients pass 2^53) is retried
+around the exact Newton point from L, (l t_1 - t_0) / (b t_1).  Only when a
+multiple or clustered smallest root fails is the Sturm chain built; then
+the square-free part, with the roots of p each simple, is tried, and
+without a certificate every bisection step asks the chain.
 
 Final cell.  Bisecting J times cuts the Cauchy interval into 2^J cells
 (y_i, y_i+1] of a fixed dyadic grid, J the fewest halvings that reach the
 width, and ends on the one cell with y_i < r <= y_i+1; the float returned is
 its midpoint.  That cell depends on r alone, so any exact way of finding it
 returns the same float.  With a certified bracket the search starts at the
-cell of x and gallops outward, then halves; each probe "r <= y?" is decided
-as above, by comparison with L and H or by one sign of s.
+cell of the Newton point from L and gallops outward, then halves.  A probe
+"r <= y?" is yes for y >= H, no for y <= L, and in between yes exactly when
+the certified polynomial is 0 at y or of the sign opposite to that at L.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ _INT64_SAFE = 2**62  # n * (entry bound) below this: no int64 sum can overflow
 
 def _ratio(x) -> tuple[int, int]:
     """Exact (numerator, denominator > 0) of a finite real number."""
-    if isinstance(x, numbers.Integral):
+    if type(x) is int or isinstance(x, numbers.Integral):
         return int(x), 1
     try:
         return x.as_integer_ratio()
@@ -226,42 +228,80 @@ def _sign_changes(chain, a: int, b: int) -> int:
     return changes
 
 
-def _root_estimate(squarefree) -> float | None:
-    """Float estimate of the smallest real root, from the polynomial alone."""
+def _root_estimate(poly) -> float | None:
+    """Float estimate of the smallest real root, from the polynomial alone:
+    Laguerre's iteration, which climbs monotonically to the smallest root of
+    a real-rooted p from the Laguerre-Samuelson bound below every root."""
     try:
-        roots = np.roots([float(c) for c in squarefree])
-    except (OverflowError, np.linalg.LinAlgError):
+        c = [float(x) for x in poly]
+    except OverflowError:
         return None
-    real = roots.real[roots.imag == 0]
-    return float(real.min()) if real.size else None
+    n = len(c) - 1
+    mean, c2 = -c[1] / (n * c[0]), (c[2] if n > 1 else 0.0) / c[0]
+    x = mean - math.sqrt(max(0.0, (n - 1) * ((n - 1) * mean * mean - 2 * c2 / n)))
+    for _ in range(10):
+        v = dv = half_ddv = 0.0
+        for a in c:
+            v, dv, half_ddv = v * x + a, dv * x + v, half_ddv * x + dv
+        try:
+            g = dv / v
+            root = math.sqrt(max(0.0, (n - 1) * (n * (g * g - 2 * half_ddv / v) - g * g)))
+            step = n / (g + math.copysign(root, g))
+        except ZeroDivisionError:  # x is a root, or the step is undefined
+            break
+        x -= step
+        if abs(step) <= 1e-9 * (1 + abs(x)):  # well inside the bracket
+            break
+    return x if math.isfinite(x) else None
 
 
-def _certified_bracket(chain, v_lo: int, squarefree):
-    """Dyadic L < H around the estimate x, certified by the chain to hold the
-    smallest root r in (L, H] and no other distinct root below H; returns
-    (x, L, H, sign of the square-free part at L) with x, L and H as exact
-    ratios, or None."""
-    x = _root_estimate(squarefree)
-    if x is None:
-        return None
-    delta = 1e-9 * (1 + abs(x))
-    low, high = x - delta, x + delta
-    if not (math.isfinite(low) and math.isfinite(high)):
-        return None
-    low, high = low.as_integer_ratio(), high.as_integer_ratio()
-    if _sign_changes(chain, *low) != v_lo or v_lo - _sign_changes(chain, *high) != 1:
-        return None
-    return x.as_integer_ratio(), low, high, 1 if _scaled_value(squarefree, *low) > 0 else -1
+def _taylor_shift(p, a: int, b: int) -> list[int]:
+    """Coefficients t_0, t_1, ... (ascending) of b^deg * p((a + u)/b)."""
+    d = [c * b**i for i, c in enumerate(p)]
+    for i in range(len(d) - 1, 0, -1):
+        for j in range(1, i + 1):
+            d[j] += a * d[j - 1]
+    return d[::-1]
+
+
+def _isolates(poly, t, l: int, h: int, b: int) -> bool:
+    """Whether (l/b, h/b] holds the smallest root of ``poly``, simple, and no
+    other root, from t, the Taylor shift at l/b (see the module docstring)."""
+    sign = 1 if t[0] > 0 else -1
+    return (
+        t[0] != 0
+        and all(c * sign * (-1) ** j >= 0 for j, c in enumerate(t))  # p(L - z): no sign variation
+        and _scaled_value(poly, h, b) * sign <= 0
+        and abs(t[1]) > sum(j * abs(c) * (h - l) ** (j - 1) for j, c in enumerate(t) if j > 1)
+    )
+
+
+def _certified_bracket(poly):
+    """Dyadic L = l/b < H = h/b around the estimate of ``poly``'s smallest
+    root, certified by ``_isolates``: (l, h, b, sign at L, the exact Newton
+    point from L, rounded), or None; a miss is retried around that point."""
+    x, b = _root_estimate(poly), 2**64  # b: the denominator of L and H
+    for _ in range(2 if x is not None else 0):
+        delta = 1e-9 * (1 + abs(x))
+        try:
+            l, h = math.floor((x - delta) * b), math.ceil((x + delta) * b)
+            t = _taylor_shift(poly, l, b)
+            x = (l * t[1] - t[0]) / (b * t[1])
+        except (OverflowError, ValueError, ZeroDivisionError):  # no finite point
+            return None
+        if _isolates(poly, t, l, h, b):
+            return l, h, b, 1 if t[0] > 0 else -1, x.as_integer_ratio()
+    return None
 
 
 def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     """Smallest real root of a polynomial with all-real roots, to ``width``.
 
     Bisects toward the leftmost root from the Cauchy bound: a step keeps the
-    lower half when (lo, mid] holds a root.  With a certified float bracket
-    the cell of the final bisection grid that holds the root is found next
-    to the estimate, each probe decided by comparison with the bracket's
-    ends or by the sign of the square-free part; without one, every step
+    lower half when (lo, mid] holds a root.  With a certified bracket the
+    cell of the final bisection grid that holds the root is found next to an
+    exact Newton point, each probe decided by comparison with the bracket's
+    ends or by one sign of the certified polynomial; without one, every step
     counts Sturm-chain sign changes.  Both give the same float (see the
     module docstring).  Coefficients may be integers, rationals or floats;
     ``width`` must be finite and positive.
@@ -274,18 +314,21 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     p = _poly_trim([num * (scale // den) for num, den in ratios])
     if len(p) < 2:
         raise InvalidParameterError("constant polynomial has no roots")
-    chain = _sturm_chain(p)
     # the points lo/den, mid/den, hi/den are exactly the rational bisection
     # points from the Cauchy bound 1 + max|c_i / c_0| = hi/den
     den = abs(p[0])
     hi = den + max(abs(c) for c in p[1:])
     lo = -hi
-    # V(lo) = V(-infinity), read from the leading terms: no root is <= lo
-    signs = [q[0] > 0 if len(q) % 2 else q[0] < 0 for q in chain]
-    v_lo = sum(s != t for s, t in zip(signs, signs[1:]))
-    squarefree = _primitive(_exact_div(p, chain[-1]))
-    bracket = _certified_bracket(chain, v_lo, squarefree)
+    poly, bracket = p, _certified_bracket(p)
     if bracket is None:
+        chain = _sturm_chain(p)
+        if len(chain[-1]) > 1:  # a multiple root: certify the square-free part
+            poly = _primitive(_exact_div(p, chain[-1]))
+            bracket = _certified_bracket(poly)
+    if bracket is None:
+        # V(lo) = V(-infinity), read from the leading terms: no root is <= lo
+        signs = [q[0] > 0 if len(q) % 2 else q[0] < 0 for q in chain]
+        v_lo = sum(s != t for s, t in zip(signs, signs[1:]))
         if v_lo - _sign_changes(chain, hi, den) == 0:
             raise InvalidParameterError("polynomial has no real roots in the Cauchy bound")
         while (hi - lo) * width_den > width_num * den:
@@ -298,7 +341,7 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
         return (lo + hi) / (2 * den)
     # the final grid: the fewest halvings that reach the width leave cells of
     # numerator ``cell`` over ``den``, y_i = lo + i * cell; find the one holding r
-    (x_num, x_den), (l_num, l_den), (h_num, h_den), sign_at_low = bracket
+    l_num, h_num, b, sign_at_low, (x_num, x_den) = bracket
     halvings = (-(-(hi - lo) * width_den // (width_num * den)) - 1).bit_length()
     lo, den, cell = lo << halvings, den << halvings, hi - lo
     lo_i, hi_i = 0, 1 << halvings  # r > y_0 and r <= y_(2^halvings)
@@ -308,12 +351,9 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
         if not lo_i < t < hi_i:
             t = (lo_i + hi_i) // 2
         y = lo + t * cell
-        if y * h_den >= h_num * den:
-            below = True
-        elif y * l_den <= l_num * den:
-            below = False
-        else:
-            below = _scaled_value(squarefree, y, den) * sign_at_low <= 0
+        below = y * b >= h_num * den or (
+            y * b > l_num * den and _scaled_value(poly, y, den) * sign_at_low <= 0
+        )
         if below:  # r <= y: gallop down
             hi_i, t = t, t - step
         else:

@@ -52,7 +52,7 @@ from .errors import CapacityExceededError, InvalidParameterError
 from .families import PendantProfile, build_K, build_U_std
 from .graphs import Graph, _bits, coalesce, is_connected, two_coloring
 from .patterns import PatternReport
-from .spectra import q_matrix, q_min_of, qmin_stack
+from .spectra import _least_pair, q_matrix, q_min_of, qmin_stack
 
 DEFAULT_TIE_TOL = 1e-8
 MAX_ORDER = 8
@@ -762,22 +762,14 @@ def majorization_scan(
         raise CapacityExceededError(
             f"scan needs graphs of order {length + total} > 11"
         )
-    values: dict[tuple[int, ...], float] = {}
-    vectors: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
-
-    def qmin_of_profile(entries: tuple[int, ...]) -> float:
-        if entries not in values:
-            graph, _ = build_K(PendantProfile(entries))
-            val, vec, mult = q_min_of(graph)
-            values[entries] = val
-            vectors[entries] = (vec, mult)
-        return values[entries]
-
-    bad = []
-    rows = []
+    # a unit transfer keeps the shape, so every value compared is one of
+    # these profiles': one stacked eigensolve serves the whole scan
     profiles = list(_profiles(length, total))
+    mats = np.stack([q_matrix(build_K(PendantProfile(nu))[0]) for nu in profiles])
+    least = dict(zip(profiles, map(_least_pair, *np.linalg.eigh(mats))))
+    bad, rows = [], []
     for nu in profiles:
-        qmin_of_profile(nu)
+        qn, vec, mult = least[nu]
         seen_mu = set()
         for i in range(length):
             for j in range(length):
@@ -790,12 +782,10 @@ def majorization_scan(
                 if mu in seen_mu:
                     continue
                 seen_mu.add(mu)
-                qn = values[nu]
-                qm = qmin_of_profile(mu)
+                qm = least[mu][0]
                 rows.append((nu, mu, qn, qm, qm - qn))
                 if not qn <= qm + margin:
                     bad.append(("majorization", (nu, mu), (qn, qm)))
-        vec, mult = vectors[nu]
         if mult == 1:
             for i in range(length):
                 for j in range(length):

@@ -519,24 +519,27 @@ def test_misleading_estimate_leaves_roots_bit_identical(corpora, monkeypatch, na
 
 def test_bracket_engages_on_random_graphs(monkeypatch):
     # without this a bracket that never certified would pass every identity
-    # test above, at the old cost
+    # test above, at the old cost: no root here counts a sign on the chain
     evaluations = _spy(monkeypatch, "_sign_changes")
     for g in _random_graphs(61, 300, 6, 10):
-        evaluations.clear()
         charpoly_oracle(q_matrix(g))
-        assert len(evaluations) <= 4
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("estimate", [None, 1.0])
 def test_near_tie_falls_back(monkeypatch, estimate):
     # (x - 1)(10^10 x - 10^10 - 1)(x - 3): two roots 1e-10 apart, both inside
-    # any bracket around 1.0; here np.roots reports that pair as complex
+    # any bracket around 1.0, so p is not monotone there; p is square-free,
+    # so no second certificate is tried and the chain bisects
     coeffs = [int(c) for c in _product(10**10, [1, Fraction(10**10 + 1, 10**10), 3])]
     if estimate is not None:
-        monkeypatch.setattr(charpoly, "_root_estimate", lambda squarefree: estimate)
+        monkeypatch.setattr(charpoly, "_root_estimate", lambda poly: estimate)
     brackets = _spy(monkeypatch, "_certified_bracket")
+    chains = _spy(monkeypatch, "_sturm_chain")
+    evaluations = _spy(monkeypatch, "_sign_changes")
     assert smallest_real_root(coeffs) == _ref_smallest_real_root(coeffs)
     assert [result for _, result in brackets] == [None]
+    assert len(chains) == 1 and len(evaluations) > 30
 
 
 def test_coefficient_beyond_float_range_falls_back(monkeypatch):
@@ -560,20 +563,140 @@ def test_double_root_at_a_midpoint(monkeypatch):
 
 
 def test_final_cell_needs_few_square_free_signs(monkeypatch):
-    # the sign at L plus the probes of the cell search; bisecting inside the
-    # bracket instead would take about 12.  The chain is counted only for the
-    # two certificates: V(lo) comes from its leading terms.
+    # the sign at H plus the probes of the cell search, on the polynomial
+    # certified (the square-free part where the smallest root is multiple);
+    # bisecting inside the bracket instead would take about 12.  The chain is
+    # never counted: V(lo) comes from its leading terms, and only a failed
+    # certificate needs it.
     brackets = _spy(monkeypatch, "_certified_bracket")
     counts_of_chain = _spy(monkeypatch, "_sign_changes")
     values = _spy(monkeypatch, "_scaled_value")
     counts = []
     for g in _random_graphs(61, 300, 6, 10):
         brackets.clear()
-        counts_of_chain.clear()
         values.clear()
         charpoly_oracle(q_matrix(g))
-        ((_, _, squarefree), result), = brackets
-        assert result is not None and len(counts_of_chain) == 2
-        counts.append(sum(args[0] is squarefree for args, _ in values))
-    assert max(counts) <= 24
-    assert sum(counts) <= 5 * len(counts)
+        (poly,), result = brackets[-1]
+        assert result is not None
+        counts.append(sum(args[0] is poly for args, _ in values))
+    assert counts_of_chain == []
+    assert max(counts) <= 6
+    assert sum(counts) <= 4 * len(counts)
+
+
+# -- the Taylor-shift certificate and the route each root takes ------------
+
+
+def _integer_coefficients(p):
+    exact = [Fraction(c) for c in p]
+    scale = math.lcm(*(c.denominator for c in exact))
+    return [int(c * scale) for c in exact]
+
+
+def _near_ties(seed, count):
+    """Polynomials with two real roots 1e-10 apart among a few others."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+        others = [Fraction(rng.randint(-40, 40), rng.choice((1, 4))) for _ in range(rng.randint(0, 3))]
+        yield _product(rng.choice((-3, 1, 2)), [r, r + Fraction(1, 10**10)] + others)
+
+
+def _brackets(rng, p):
+    """Dyadic (l, h, b), mostly close around p's real roots, some anywhere,
+    some with L at a root."""
+    roots = np.roots([float(c) for c in p])
+    centres = [float(r.real) for r in roots if abs(r.imag) < 1e-6] or [0.0]
+    for _ in range(12):
+        centre = rng.choice(centres) + rng.choice((0.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, -6)))
+        if rng.random() < 0.1:
+            centre = rng.uniform(-50, 50)
+        half = 10.0 ** rng.uniform(-12, -1)
+        low, high = centre - half, centre + half
+        if rng.random() < 0.2:  # L on the eighths, where many of the roots lie
+            low = round(centre * 8) / 8
+            high = low + half
+        (l, lb), (h, hb) = low.as_integer_ratio(), high.as_integer_ratio()
+        b = max(lb, hb)
+        yield l * (b // lb), h * (b // hb), b
+
+
+def test_taylor_certificate_is_sound():
+    # every accepted bracket (L, H] holds exactly one distinct root, simple,
+    # and none is <= L, by the reference Sturm counts on p itself and on
+    # gcd(p, p'), whose roots are the multiple roots of p
+    rng = random.Random(97)
+    accepted = rejected = 0
+    for p in itertools.chain(_random_polynomials(101, 150), _near_ties(103, 60)):
+        ints = _integer_coefficients(p)
+        chain = _ref_sturm_chain(ints)
+        gcd = _ref_gcd(ints, _ref_deriv(ints))
+        gcd_chain = _ref_sturm_chain(gcd) if len(gcd) > 1 else None
+        bound = 1 + max(abs(Fraction(c, ints[0])) for c in ints[1:])
+        for l, h, b in _brackets(rng, ints):
+            if not charpoly._isolates(ints, charpoly._taylor_shift(ints, l, b), l, h, b):
+                rejected += 1
+                continue
+            accepted += 1
+            low, high = Fraction(l, b), Fraction(h, b)
+            assert _ref_sign_changes(chain, -bound) == _ref_sign_changes(chain, low), (p, l, h, b)
+            assert _ref_eval(ints, low) != 0
+            assert _ref_sign_changes(chain, low) - _ref_sign_changes(chain, high) == 1
+            if gcd_chain is not None:
+                assert _ref_sign_changes(gcd_chain, low) == _ref_sign_changes(gcd_chain, high)
+                assert _ref_eval(gcd, high) != 0
+    assert accepted >= 300 and rejected >= 300
+
+
+def _multiple_smallest_root(q):
+    values = np.linalg.eigvalsh(q)
+    gap = values[1] - values[0]
+    assert gap < 1e-9 or gap > 1e-4  # no doubt which side a root is on
+    return gap < 1e-9
+
+
+def test_chain_is_built_only_for_a_multiple_smallest_root(monkeypatch):
+    brackets = _spy(monkeypatch, "_certified_bracket")
+    chains = _spy(monkeypatch, "_sturm_chain")
+    routes = []
+    for g in _random_graphs(61, 300, 6, 10):
+        brackets.clear()
+        chains.clear()
+        q = q_matrix(g)
+        coeffs, _ = charpoly_oracle(q)
+        results = [result is not None for _, result in brackets]
+        if _multiple_smallest_root(q):
+            assert results == [False, True] and len(chains) == 1
+            assert brackets[1][0][0] != coeffs  # the square-free part
+            routes.append("square-free")
+        else:
+            assert results == [True] and chains == []
+            routes.append("p")
+    assert (routes.count("p"), routes.count("square-free")) == (292, 8)
+
+
+def test_q_matrices_through_order_16_are_decided_on_p(monkeypatch):
+    brackets = _spy(monkeypatch, "_certified_bracket")
+    chains = _spy(monkeypatch, "_sturm_chain")
+    count = 0
+    for n in range(3, 17):
+        for g in range(3, n + 1):
+            for k in range(n):
+                try:
+                    graph, _ = build_U_std(n, k, g)
+                except InvalidParameterError:
+                    continue
+                brackets.clear()
+                coeffs, root = charpoly_oracle(q_matrix(graph))
+                ((poly,), result), = brackets
+                assert poly == coeffs and result is not None, (n, k, g)
+                assert abs(root - float(np.linalg.eigvalsh(q_matrix(graph))[0])) < 1e-9
+                count += 1
+    assert count == 252 and chains == []
+
+
+def test_fast_route_equals_chain_bisection_at_order_16(monkeypatch):
+    polys = [charpoly_coeffs(q_matrix(g)) for g in _random_graphs(107, 50, 16, 16)]
+    fast = [smallest_real_root(p) for p in polys]
+    monkeypatch.setattr(charpoly, "_root_estimate", lambda poly: None)
+    assert [smallest_real_root(p) for p in polys] == fast

@@ -436,18 +436,18 @@ def test_unicyclic_generator_matches_oeis():
         1, 1, 2, 4, 9, 20, 48, 115, 286
     ]
     classes, labeled = [], []
-    for n in range(3, 10):
+    for n in range(3, 15):
         cells = [search._unicyclic_classes(n, g, k) for g, k in _unicyclic_cells(n)]
         classes.append(sum(len(rows) for rows, _ in cells))
         labeled.append(sum(int(counts.sum()) for _, counts in cells))
-    assert classes == [1, 2, 5, 13, 33, 89, 240]
-    assert labeled == [1, 15, 222, 3660, 68295, 1436568, 33779340]
+    assert classes == [1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260]
+    assert labeled[:7] == [1, 15, 222, 3660, 68295, 1436568, 33779340]
 
 
 def test_unicyclic_labeled_totals_match_closed_form():
     # A057500: (n - 1)!/2 * sum over j = 0..n-3 of n^j/j! labeled connected
     # unicyclic graphs; counts are summed as Python ints
-    for n in range(3, 13):
+    for n in range(3, 15):
         expected = sum(math.factorial(n - 1) // math.factorial(j) * n**j for j in range(n - 2))
         total = sum(
             sum(search._unicyclic_classes(n, g, k)[1].tolist()) for g, k in _unicyclic_cells(n)
