@@ -47,9 +47,9 @@ t_j (-1)^j show no sign variation, so no root is <= L (Descartes' rule of
 signs on p(L - z)); p(H) is 0 or of the other sign; and |t_1| > sum over
 j >= 2 of j |t_j| (h - l)^(j-1), so p' has no root in [L, H].  A miss (a
 float estimate of an order-16 p, whose coefficients pass 2^53) is retried
-around the exact Newton point from L, (l t_1 - t_0) / (b t_1).  Only when a
-multiple or clustered smallest root fails is the Sturm chain built; then
-the square-free part, with the roots of p each simple, is tried, and
+around the exact Newton point from L, (l t_1 - t_0) / (b t_1).  Only when
+that fails (a multiple or clustered smallest root) is the Sturm chain built;
+then the square-free part, with the roots of p each simple, is tried, and
 without a certificate every bisection step asks the chain.
 
 Final cell.  Bisecting J times cuts the Cauchy interval into 2^J cells
