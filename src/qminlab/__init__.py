@@ -49,23 +49,19 @@ from .graphs import (
 )
 from .patterns import (
     BranchSpec,
+    MajorizationScan,
     PatternReport,
+    RelocationResult,
+    alpha,
     check_bipartite_branch,
     check_tree_monotone,
     check_U_pattern,
-    split_branches,
-)
-from .search import (
-    ClassQuery,
-    MajorizationScan,
-    RelocationResult,
-    SearchResult,
-    alpha,
-    find_extremal,
     interlacing_check,
     majorization_scan,
     relocation_experiment,
+    split_branches,
 )
+from .search import ClassQuery, SearchResult, find_extremal
 from .spectra import (
     Spectrum,
     eig_sym,

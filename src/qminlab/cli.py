@@ -14,46 +14,21 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .bounds import compare_bounds
 from .errors import QminlabError
 from .families import PendantProfile, UParams, balanced_profile, build_K, build_U, build_U_std
 from .graph6 import decode_graph6, encode_graph6, parse_edge_list
 from .graphs import Graph, is_isomorphic, structure_report
-from .search import DEFAULT_TIE_TOL, ClassQuery, alpha, find_extremal, majorization_scan
+from .patterns import alpha, majorization_scan
+from .search import DEFAULT_TIE_TOL, ClassQuery, find_extremal
 from .spectra import DEFAULT_GROUP_TOL, _least_pair, eig_sym, q_matrix, q_min_of
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide settings; a command without a flag gets its default."""
-
-    group_tol: float
-    tie_tol: float
-    shards: int
-    output: str | None
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cfg = RunConfig(
-            group_tol=getattr(args, "group_tol", DEFAULT_GROUP_TOL),
-            tie_tol=getattr(args, "tie_tol", DEFAULT_TIE_TOL),
-            shards=getattr(args, "shards", 1),
-            output=getattr(args, "output", None),
-        )
-        if not all(math.isfinite(t) and t > 0 for t in (cfg.group_tol, cfg.tie_tol)):
-            raise QminlabError("tolerances must be finite and positive")
-        if cfg.shards < 1:
-            raise QminlabError("shards must be >= 1")
-        return cfg
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -81,9 +56,9 @@ def _load_graph(source: str) -> Graph:
     return decode_graph6(source)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(output: str | None, text: str) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -94,11 +69,10 @@ def _fmt_vec(x) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = RunConfig.from_args(args)
     g = _load_graph(args.input)
     rep = structure_report(g)
     spec = eig_sym(q_matrix(g))
-    value, vector, mult = _least_pair(spec.eigenvalues, spec.eigenvectors, cfg.group_tol)
+    value, vector, mult = _least_pair(spec.eigenvalues, spec.eigenvectors, args.group_tol)
     lines = [
         f"order: {g.n}",
         f"edges: {g.edge_count}",
@@ -115,7 +89,7 @@ def cmd_spectrum(args) -> int:
         "eigenvector: " + _fmt_vec(vector),
         f"residual_bound: {spec.residual_bound:.3e}",
     ]
-    _emit(cfg, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK
 
 
@@ -136,7 +110,6 @@ def _format_landmarks(lm) -> str:
 
 
 def cmd_family(args) -> int:
-    cfg = RunConfig.from_args(args)
     if args.kind == "U":
         if args.n is None or args.k is None or args.g is None:
             raise QminlabError("family U needs --n, --k and --g")
@@ -152,9 +125,9 @@ def cmd_family(args) -> int:
         if not args.profile:
             raise QminlabError("family K needs --profile")
         graph, lm = build_K(PendantProfile(tuple(_parse_int_list(args.profile))))
-    value, _, mult = q_min_of(graph, group_tol=cfg.group_tol)
+    value, _, mult = q_min_of(graph, group_tol=args.group_tol)
     _emit(
-        cfg,
+        args.output,
         "\n".join(
             [
                 f"graph6: {encode_graph6(graph).decode('ascii')}",
@@ -168,7 +141,6 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
     if args.g is not None and args.theorem != "unicyclic-min":
         raise QminlabError("--g applies only to unicyclic-min")
     if args.theorem == "min":
@@ -185,7 +157,7 @@ def cmd_verify(args) -> int:
         query = ClassQuery(n=args.n, k=args.k)
         expected, _ = build_K(balanced_profile(args.n, args.k))
         objective, containment = "max", True
-    result = find_extremal(query, objective, cfg.tie_tol, shards=cfg.shards)
+    result = find_extremal(query, objective, args.tie_tol, shards=args.shards)
     matches = [w for w in result.witnesses if is_isomorphic(w, expected)]
     if containment:
         confirmed = bool(matches)
@@ -199,7 +171,7 @@ def cmd_verify(args) -> int:
         f"expected: {encode_graph6(expected).decode('ascii')}",
         f"confirmed: {str(confirmed).lower()}",
     ]
-    _emit(cfg, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_OK if confirmed else EXIT_REFUTED
 
 
@@ -260,10 +232,9 @@ def _scan_table(args) -> tuple[list, list, int]:
 
 
 def cmd_scan(args) -> int:
-    cfg = RunConfig.from_args(args)
     header, rows, code = _scan_table(args)
-    if cfg.output:
-        with open(cfg.output, "w", newline="", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header, *rows])
     else:
         csv.writer(sys.stdout).writerows([header, *rows])
@@ -330,10 +301,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except QminlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (QminlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

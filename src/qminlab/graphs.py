@@ -238,23 +238,27 @@ def two_coloring(g: Graph) -> Optional[TwoColoring]:
     return TwoColoring(tuple(part))
 
 
-def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None for a forest.
+def _short_cycles(g: Graph) -> tuple[Optional[int], Optional[int]]:
+    """(girth, odd girth): the lengths of a shortest cycle and of a shortest
+    odd cycle, each None where g has no such cycle.
 
     One layered BFS per root.  An edge inside layer d closes an odd closed
     walk of length 2d + 1 through the root, and a vertex of layer d + 1 with
     two neighbours in layer d ends two distinct paths of length d + 1 from
-    it; either holds a cycle no longer than that.  A shortest cycle is
-    isometric, so a BFS from any of its vertices meets it at exactly its
-    length: the minimum over roots is exact.
+    it; the first holds an odd cycle no longer than 2d + 1, the second a
+    cycle no longer than 2d + 2.  A shortest cycle and a shortest odd cycle
+    are isometric, so a BFS from any of their vertices meets each at exactly
+    its length: the minimum over roots is exact for both.
     """
-    best = None
+    absent = g.n + 1  # longer than any cycle
+    best = odd = absent
     for root in range(g.n):
         seen = frontier = 1 << root
         depth = 0
-        while frontier and (best is None or 2 * depth + 1 < best):
+        while frontier and 2 * depth + 1 < odd:
             if any(g.nbr[v] & frontier for v in _bits(frontier)):
-                best = 2 * depth + 1
+                odd = 2 * depth + 1
+                best = min(best, odd)
                 break
             once = twice = 0
             for v in _bits(frontier):
@@ -262,48 +266,31 @@ def girth(g: Graph) -> Optional[int]:
                 twice |= once & step
                 once |= step
             if twice:
-                best = 2 * depth + 2
-                break
+                best = min(best, 2 * depth + 2)
             seen |= once
             frontier = once
             depth += 1
-    return best
+    return (best if best < absent else None), (odd if odd < absent else None)
+
+
+def girth(g: Graph) -> Optional[int]:
+    """Length of a shortest cycle, or None for a forest."""
+    return _short_cycles(g)[0]
 
 
 def odd_girth(g: Graph) -> Optional[int]:
-    """Length of a shortest odd cycle, or None if g is bipartite.
-
-    The shortest odd closed walk through any vertex equals the shortest odd
-    cycle, so a parity-layered BFS from each vertex suffices.
-    """
-    best = None
-    for root in range(g.n):
-        seen = [0, 0]  # reached-vertex masks by parity
-        seen[0] = 1 << root
-        frontier, parity = 1 << root, 0
-        level = 0
-        while frontier and (best is None or level < best):
-            acc = 0
-            for v in _bits(frontier):
-                acc |= g.nbr[v]
-            parity ^= 1
-            level += 1
-            frontier = acc & ~seen[parity]
-            seen[parity] |= frontier
-            if parity == 1 and (frontier >> root) & 1:
-                if best is None or level < best:
-                    best = level
-                break
-    return best
+    """Length of a shortest odd cycle, or None if g is bipartite."""
+    return _short_cycles(g)[1]
 
 
 def structure_report(g: Graph) -> StructureReport:
     degs = g.degrees()
+    shortest, shortest_odd = _short_cycles(g)
     return StructureReport(
         connected=is_connected(g),
         bipartite=two_coloring(g),
-        girth=girth(g),
-        odd_girth=odd_girth(g),
+        girth=shortest,
+        odd_girth=shortest_odd,
         pendant_count=sum(1 for d in degs if d == 1),
         min_degree=min(degs),
         degrees=degs,

@@ -1,8 +1,15 @@
-"""Executable checks of first-eigenvector structure.
+"""Executable checks of the paper's spectral properties.
 
-Each check takes a graph, a candidate eigenvector, and (where relevant) a
-branch at a cut vertex, validates its own preconditions, and returns a
-PatternReport listing every violated assertion instead of failing fast.
+Each check validates its own preconditions and returns a PatternReport
+listing every violated assertion instead of failing fast:
+
+* first-eigenvector structure: a graph, a candidate eigenvector and, where
+  relevant, a branch at a cut vertex (``check_bipartite_branch``,
+  ``check_tree_monotone``, ``check_U_pattern``);
+* property experiments on the extremal families: edge-deletion interlacing
+  (``interlacing_check``), moving a branch between two attachment vertices
+  (``relocation_experiment``) and unit transfers between pendant profiles
+  (``majorization_scan``); ``alpha`` is the unicyclic class minimum.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InvalidParameterError
-from .families import ULandmarks
-from .graphs import Graph, _bits, _reach_mask, is_connected, two_coloring
-from .spectra import _least_pair, q_matrix, rayleigh, residual
+from .errors import CapacityExceededError, DegenerateSpectrumError, InvalidParameterError
+from .families import PendantProfile, ULandmarks, build_K, build_U_std
+from .graphs import Graph, _bits, _reach_mask, coalesce, is_connected, two_coloring
+from .spectra import _least_pair, q_matrix, q_min_of, rayleigh, residual
 
 #: Residual allowance when validating that a supplied vector is an eigenvector.
 EIGENVECTOR_CHECK_TOL = 1e-6
@@ -97,23 +104,6 @@ def _validate_branch(g: Graph, b: BranchSpec) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges() if u in b.members and v in b.members]
 
 
-def _branch_two_coloring(g: Graph, b: BranchSpec) -> dict[int, int]:
-    """2-color the induced branch, root in part 0; error if not bipartite."""
-    part = {b.root: 0}
-    queue = deque([b.root])
-    while queue:
-        p = queue.popleft()
-        for w in _bits(g.nbr[p]):
-            if w not in b.members:
-                continue
-            if w not in part:
-                part[w] = 1 - part[p]
-                queue.append(w)
-            elif part[w] == part[p]:
-                raise InvalidParameterError("branch is not bipartite")
-    return part
-
-
 def check_bipartite_branch(
     g: Graph, x, b: BranchSpec, zero_tol: float | None = None
 ) -> PatternReport:
@@ -126,7 +116,11 @@ def check_bipartite_branch(
     """
     x = _normalized_eigenvector(g, x)
     edges = _validate_branch(g, b)
-    part = _branch_two_coloring(g, b)
+    coloring = two_coloring(Graph.from_edges(g.n, edges))
+    if coloring is None:
+        raise InvalidParameterError("branch is not bipartite")
+    # each vertex's side relative to the root's: 0 is the root's side
+    part = [side ^ coloring.part[b.root] for side in coloring.part]
     if zero_tol is None:
         zero_tol = PATTERN_TOL * float(np.abs(x).max())
     bad = []
@@ -258,3 +252,190 @@ def check_U_pattern(
         if abs(x[p]) <= tol:
             bad.append(("nonzero-entries", p, (float(x[p]),)))
     return PatternReport.from_violations(bad)
+
+
+def alpha(n: int, k: int, g: int) -> float:
+    """Least eigenvalue of the standard cycle-stem-broom graph, which is the
+    class minimum over unicyclic graphs with these parameters."""
+    graph, _ = build_U_std(n, k, g)
+    return q_min_of(graph)[0]
+
+
+def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> PatternReport:
+    """Edge-deletion interlacing: with spectra ascending, every eigenvalue of
+    G-e is at most its counterpart in G, which is at most the next one up in
+    G-e."""
+    u, v = e
+    if not g.has_edge(u, v):
+        raise InvalidParameterError(f"({u},{v}) is not an edge")
+    a, b = np.linalg.eigvalsh(np.stack([q_matrix(g.without_edge(u, v)), q_matrix(g)]))
+    bad = []
+    for i in range(g.n):
+        if not a[i] <= b[i] + tol:
+            bad.append(("deleted-below", i, (float(a[i]), float(b[i]))))
+        if i + 1 < g.n and not b[i] <= a[i + 1] + tol:
+            bad.append(("interlace", i, (float(b[i]), float(a[i + 1]))))
+    return PatternReport.from_violations(bad)
+
+
+@dataclass(frozen=True)
+class RelocationResult:
+    """Before/after least eigenvalues of moving a rooted branch between two
+    attachment vertices, with the hypothesis bookkeeping and assertions."""
+
+    q_before: float
+    q_after: float
+    x_v1: float
+    x_v2: float
+    weak_hypothesis: bool
+    strict_hypothesis: bool
+    equality_diagnostic: float
+    report: PatternReport
+
+
+def relocation_experiment(
+    g1: Graph,
+    v1: int,
+    v2: int,
+    g2: Graph,
+    u: int,
+    *,
+    margin: float = 1e-8,
+) -> RelocationResult:
+    """Attach ``g2`` (at its vertex ``u``) to ``g1`` at ``v2``, then compare
+    against attaching at ``v1`` instead.
+
+    With x a first eigenvector of the before-graph: if |x(v1)| >= |x(v2)| and
+    g2 is bipartite, the move cannot raise the least eigenvalue (asserted to
+    ``margin``); if additionally g2 is a nontrivial path rooted at an end and
+    g1 is connected non-bipartite, a strictly larger |x(v1)| (or equal and
+    nonzero) forces a strict drop."""
+    g1._check_vertex(v1)
+    g1._check_vertex(v2)
+    g2._check_vertex(u)
+    if v1 == v2:
+        raise InvalidParameterError("attachment vertices must differ")
+    if not is_connected(g1) or not is_connected(g2):
+        raise InvalidParameterError("both graphs must be connected")
+    g2_bipartite = two_coloring(g2) is not None
+    degs2 = sorted(g2.degrees())
+    g2_path = (
+        g2.n >= 2
+        and g2.edge_count == g2.n - 1
+        and degs2[-1] <= 2
+        and g2.degree(u) == 1
+    )
+    if not g2_bipartite:
+        raise InvalidParameterError(
+            "the relocated branch must be bipartite (paths included)"
+        )
+    g1_nonbip = two_coloring(g1) is None
+    before = coalesce(g1, v2, g2, u)
+    after = coalesce(g1, v1, g2, u)
+    q_before, x, _ = q_min_of(before)
+    q_after = q_min_of(after)[0]
+    a1, a2 = abs(float(x[v1])), abs(float(x[v2]))
+    hyp_tol = 1e-8 * float(np.abs(x).max())
+    weak = a1 >= a2 - hyp_tol
+    strict = g2_path and g1_nonbip and (a1 > a2 + hyp_tol or (a1 >= a2 - hyp_tol and a1 > hyp_tol))
+    # diagnostic for the equality condition: d_{g2}(u) x(u) + sum of x over
+    # u's neighbors inside the relocated branch (zero is necessary for ties)
+    # (coalesce puts g2's vertex w != u at g1.n + w - (w > u))
+    diag = g2.degree(u) * float(x[v2]) + sum(
+        float(x[g1.n + w - (w > u)]) for w in g2.neighbors(u)
+    )
+    bad = []
+    if weak and not q_after <= q_before + margin:
+        bad.append(("relocation-weak", (v1, v2), (q_before, q_after)))
+    if strict and not q_before - q_after > margin:
+        bad.append(("relocation-strict", (v1, v2), (q_before, q_after)))
+    return RelocationResult(
+        q_before=q_before,
+        q_after=q_after,
+        x_v1=float(x[v1]),
+        x_v2=float(x[v2]),
+        weak_hypothesis=weak,
+        strict_hypothesis=strict,
+        equality_diagnostic=diag,
+        report=PatternReport.from_violations(bad),
+    )
+
+
+@dataclass(frozen=True)
+class MajorizationScan:
+    """Unit-transfer majorization sweep over pendant profiles of one shape."""
+
+    profiles_checked: int
+    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...], float, float, float], ...]
+    report: PatternReport
+
+
+def _profiles(length: int, total: int):
+    """All non-increasing nonnegative integer tuples of the given length/sum."""
+
+    def rec(remaining, slots, cap):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for first in range(min(remaining, cap), -1, -1):
+            for rest in rec(remaining - first, slots - 1, first):
+                yield (first,) + rest
+
+    yield from rec(total, length, total)
+
+
+def majorization_scan(
+    length: int, total: int, *, margin: float = 1e-8
+) -> MajorizationScan:
+    """For every profile pair differing by one unit transfer across a gap of
+    at least 2, assert that the transfer cannot lower the clique family's
+    least eigenvalue; also check, per profile with a simple least eigenvalue,
+    that more pendants never means a strictly smaller eigenvector magnitude
+    on the clique."""
+    if length < 3 or total < 1:
+        raise InvalidParameterError(
+            f"need length >= 3 and sum >= 1, got ({length}, {total})"
+        )
+    if length + total > 11:
+        raise CapacityExceededError(
+            f"scan needs graphs of order {length + total} > 11"
+        )
+    # a unit transfer keeps the shape, so every value compared is one of
+    # these profiles': one stacked eigensolve serves the whole scan
+    profiles = list(_profiles(length, total))
+    mats = np.stack([q_matrix(build_K(PendantProfile(nu))[0]) for nu in profiles])
+    least = dict(zip(profiles, map(_least_pair, *np.linalg.eigh(mats))))
+    bad, rows = [], []
+    for nu in profiles:
+        qn, vec, mult = least[nu]
+        seen_mu = set()
+        for i in range(length):
+            for j in range(length):
+                if nu[i] - nu[j] < 2:
+                    continue
+                moved = list(nu)
+                moved[i] -= 1
+                moved[j] += 1
+                mu = tuple(sorted(moved, reverse=True))
+                if mu in seen_mu:
+                    continue
+                seen_mu.add(mu)
+                qm = least[mu][0]
+                rows.append((nu, mu, qn, qm, qm - qn))
+                if not qn <= qm + margin:
+                    bad.append(("majorization", (nu, mu), (qn, qm)))
+        if mult == 1:
+            for i in range(length):
+                for j in range(length):
+                    if nu[i] > nu[j] and not (
+                        abs(vec[i]) >= abs(vec[j]) - margin
+                    ):
+                        bad.append(
+                            ("clique-magnitude", (nu, i, j), (abs(vec[i]), abs(vec[j])))
+                        )
+    return MajorizationScan(
+        profiles_checked=len(profiles),
+        pairs=tuple(rows),
+        report=PatternReport.from_violations(bad),
+    )

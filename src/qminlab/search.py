@@ -1,12 +1,14 @@
-"""Exhaustive searches over graph classes at small order, one isomorphism
-class at a time.
+"""Exhaustive extremal searches over graph classes at small order, one
+isomorphism class at a time, in three stages: class generation, the scan,
+and witness naming.  The property experiments live in ``patterns``.
 
 A labeled graph of order n <= 16 travels as its neighbour rows: n uint16
-masks, bit u of row v set when u and v are adjacent.  A search eigensolves
-one representative per isomorphism class, and each class counts n!/|Aut|
-towards ``graphs_examined``.  Two generators build the representatives'
-rows straight from their edge lists for the one pendant count k asked, and
-neither enumerates labeled candidates:
+masks, bit u of row v set when u and v are adjacent.
+
+Generation.  Two generators build one representative per isomorphism class
+straight from its edge list, for the one pendant count k asked, and each
+class counts n!/|Aut| towards ``graphs_examined``; neither enumerates
+labeled candidates:
 
 * every unicyclic class from tree codes (see ``_unicyclic_classes``): the
   cycle C_g with a rooted tree hung at each cycle vertex, one cyclic
@@ -19,22 +21,23 @@ neither enumerates labeled candidates:
   one order down (see ``_connected``).
 
 Unicyclic classes are searched through order 16, the most a uint16 row
-holds, and general ones through order 8; larger orders are refused.
-General order 9 needs the cores of order 8, which the vertex-adding build
-takes about 50 s to make (a general class of order 8 with no pendant needs
-them too).
+holds, and general ones through order 8; larger orders are refused.  General
+order 9 needs the cores of order 8, which the vertex-adding build takes about
+40 s to make (a general class of order 8 with no pendant needs them too).
 
-Shard s of W is the index range [R*s/W, R*(s+1)/W) of the R representatives
-in their fixed generation order.  No shard rescans another's, the unsharded
-order is the shards' orders concatenated, and merged shard results equal
-the unsharded ones bit for bit because ``qmin_stack`` gives each matrix the
-same least eigenvalue whatever batch it is solved in (a test re-proves this
-on a whole class).  A scan keeps the positions of the representatives
-within the tie window.  Tied witnesses are reported one per isomorphism
-class, each relabelled to the lowest mask of its orbit, found by a search
-over ordered partitions (``_lowest_mask``), and only for the objective
-asked for.  A mask is an edge subset of K_n as a Python int: edge b of K_n
-(column order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
+Scan.  Shard s of W is the index range [R*s/W, R*(s+1)/W) of the R
+representatives in their fixed generation order.  No shard rescans
+another's, the unsharded order is the shards' orders concatenated, and
+merged shard results equal the unsharded ones bit for bit because
+``qmin_stack`` gives each matrix the same least eigenvalue whatever batch it
+is solved in (a test re-proves this on a whole class).  A scan keeps the
+positions of the representatives within the tie window.
+
+Naming.  Tied witnesses are reported one per isomorphism class, each
+relabelled to the lowest mask of its orbit, found by a search over ordered
+partitions (``_lowest_mask``), and only for the objective asked for.  A mask
+is an edge subset of K_n as a Python int: edge b of K_n (column order:
+(0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapacityExceededError, InvalidParameterError
-from .families import PendantProfile, build_K, build_U_std
-from .graphs import Graph, _bits, coalesce, is_connected, two_coloring
-from .patterns import PatternReport
-from .spectra import _least_pair, q_matrix, q_min_of, qmin_stack
+from .graphs import Graph, _bits, two_coloring
+# perfbench reaches these two property checks as qminlab.search.*
+from .patterns import interlacing_check, majorization_scan
+from .spectra import qmin_stack
 
 DEFAULT_TIE_TOL = 1e-8
 MAX_ORDER = 8
@@ -614,189 +617,3 @@ def find_extremal(
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
     return _search(q, tie_tol, shards, objective)
 
-
-def alpha(n: int, k: int, g: int) -> float:
-    """Least eigenvalue of the standard cycle-stem-broom graph, which is the
-    class minimum over unicyclic graphs with these parameters."""
-    graph, _ = build_U_std(n, k, g)
-    return q_min_of(graph)[0]
-
-
-def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> PatternReport:
-    """Edge-deletion interlacing: with spectra ascending, every eigenvalue of
-    G-e is at most its counterpart in G, which is at most the next one up in
-    G-e."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise InvalidParameterError(f"({u},{v}) is not an edge")
-    a, b = np.linalg.eigvalsh(np.stack([q_matrix(g.without_edge(u, v)), q_matrix(g)]))
-    bad = []
-    for i in range(g.n):
-        if not a[i] <= b[i] + tol:
-            bad.append(("deleted-below", i, (float(a[i]), float(b[i]))))
-        if i + 1 < g.n and not b[i] <= a[i + 1] + tol:
-            bad.append(("interlace", i, (float(b[i]), float(a[i + 1]))))
-    return PatternReport.from_violations(bad)
-
-
-@dataclass(frozen=True)
-class RelocationResult:
-    """Before/after least eigenvalues of moving a rooted branch between two
-    attachment vertices, with the hypothesis bookkeeping and assertions."""
-
-    q_before: float
-    q_after: float
-    x_v1: float
-    x_v2: float
-    weak_hypothesis: bool
-    strict_hypothesis: bool
-    equality_diagnostic: float
-    report: PatternReport
-
-
-def relocation_experiment(
-    g1: Graph,
-    v1: int,
-    v2: int,
-    g2: Graph,
-    u: int,
-    *,
-    margin: float = 1e-8,
-) -> RelocationResult:
-    """Attach ``g2`` (at its vertex ``u``) to ``g1`` at ``v2``, then compare
-    against attaching at ``v1`` instead.
-
-    With x a first eigenvector of the before-graph: if |x(v1)| >= |x(v2)| and
-    g2 is bipartite, the move cannot raise the least eigenvalue (asserted to
-    ``margin``); if additionally g2 is a nontrivial path rooted at an end and
-    g1 is connected non-bipartite, a strictly larger |x(v1)| (or equal and
-    nonzero) forces a strict drop."""
-    g1._check_vertex(v1)
-    g1._check_vertex(v2)
-    g2._check_vertex(u)
-    if v1 == v2:
-        raise InvalidParameterError("attachment vertices must differ")
-    if not is_connected(g1) or not is_connected(g2):
-        raise InvalidParameterError("both graphs must be connected")
-    g2_bipartite = two_coloring(g2) is not None
-    degs2 = sorted(g2.degrees())
-    g2_path = (
-        g2.n >= 2
-        and g2.edge_count == g2.n - 1
-        and degs2[-1] <= 2
-        and g2.degree(u) == 1
-    )
-    if not g2_bipartite:
-        raise InvalidParameterError(
-            "the relocated branch must be bipartite (paths included)"
-        )
-    g1_nonbip = two_coloring(g1) is None
-    before = coalesce(g1, v2, g2, u)
-    after = coalesce(g1, v1, g2, u)
-    q_before, x, _ = q_min_of(before)
-    q_after = q_min_of(after)[0]
-    a1, a2 = abs(float(x[v1])), abs(float(x[v2]))
-    hyp_tol = 1e-8 * float(np.abs(x).max())
-    weak = a1 >= a2 - hyp_tol
-    strict = g2_path and g1_nonbip and (a1 > a2 + hyp_tol or (a1 >= a2 - hyp_tol and a1 > hyp_tol))
-    # diagnostic for the equality condition: d_{g2}(u) x(u) + sum of x over
-    # u's neighbors inside the relocated branch (zero is necessary for ties)
-    # (coalesce puts g2's vertex w != u at g1.n + w - (w > u))
-    diag = g2.degree(u) * float(x[v2]) + sum(
-        float(x[g1.n + w - (w > u)]) for w in g2.neighbors(u)
-    )
-    bad = []
-    if weak and not q_after <= q_before + margin:
-        bad.append(("relocation-weak", (v1, v2), (q_before, q_after)))
-    if strict and not q_before - q_after > margin:
-        bad.append(("relocation-strict", (v1, v2), (q_before, q_after)))
-    return RelocationResult(
-        q_before=q_before,
-        q_after=q_after,
-        x_v1=float(x[v1]),
-        x_v2=float(x[v2]),
-        weak_hypothesis=weak,
-        strict_hypothesis=strict,
-        equality_diagnostic=diag,
-        report=PatternReport.from_violations(bad),
-    )
-
-
-@dataclass(frozen=True)
-class MajorizationScan:
-    """Unit-transfer majorization sweep over pendant profiles of one shape."""
-
-    profiles_checked: int
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...], float, float, float], ...]
-    report: PatternReport
-
-
-def _profiles(length: int, total: int):
-    """All non-increasing nonnegative integer tuples of the given length/sum."""
-
-    def rec(remaining, slots, cap):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(min(remaining, cap), -1, -1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, length, total)
-
-
-def majorization_scan(
-    length: int, total: int, *, margin: float = 1e-8
-) -> MajorizationScan:
-    """For every profile pair differing by one unit transfer across a gap of
-    at least 2, assert that the transfer cannot lower the clique family's
-    least eigenvalue; also check, per profile with a simple least eigenvalue,
-    that more pendants never means a strictly smaller eigenvector magnitude
-    on the clique."""
-    if length < 3 or total < 1:
-        raise InvalidParameterError(
-            f"need length >= 3 and sum >= 1, got ({length}, {total})"
-        )
-    if length + total > 11:
-        raise CapacityExceededError(
-            f"scan needs graphs of order {length + total} > 11"
-        )
-    # a unit transfer keeps the shape, so every value compared is one of
-    # these profiles': one stacked eigensolve serves the whole scan
-    profiles = list(_profiles(length, total))
-    mats = np.stack([q_matrix(build_K(PendantProfile(nu))[0]) for nu in profiles])
-    least = dict(zip(profiles, map(_least_pair, *np.linalg.eigh(mats))))
-    bad, rows = [], []
-    for nu in profiles:
-        qn, vec, mult = least[nu]
-        seen_mu = set()
-        for i in range(length):
-            for j in range(length):
-                if nu[i] - nu[j] < 2:
-                    continue
-                moved = list(nu)
-                moved[i] -= 1
-                moved[j] += 1
-                mu = tuple(sorted(moved, reverse=True))
-                if mu in seen_mu:
-                    continue
-                seen_mu.add(mu)
-                qm = least[mu][0]
-                rows.append((nu, mu, qn, qm, qm - qn))
-                if not qn <= qm + margin:
-                    bad.append(("majorization", (nu, mu), (qn, qm)))
-        if mult == 1:
-            for i in range(length):
-                for j in range(length):
-                    if nu[i] > nu[j] and not (
-                        abs(vec[i]) >= abs(vec[j]) - margin
-                    ):
-                        bad.append(
-                            ("clique-magnitude", (nu, i, j), (abs(vec[i]), abs(vec[j])))
-                        )
-    return MajorizationScan(
-        profiles_checked=len(profiles),
-        pairs=tuple(rows),
-        report=PatternReport.from_violations(bad),
-    )

@@ -136,9 +136,9 @@ def test_criterion_2_eigensolver_oracle_equivalence():
 
 
 def test_criterion_3_minimizers_over_pendant_classes():
-    with criterion(3, "exhaustive minimizer = cycle-broom graph, n=5..7"):
+    with criterion(3, "exhaustive minimizer = cycle-broom graph, n=5..8"):
         start = time.perf_counter()
-        for n in range(5, 8):
+        for n in range(5, 9):
             for k in range(1, n - 2):
                 res = find_extremal(ClassQuery(n=n, k=k), "min", shards=SHARDS)
                 expected, _ = build_U_std(n, k, 3)
@@ -166,7 +166,7 @@ def test_criterion_4_unicyclic_minimizers():
 
 def test_criterion_5_maximizers_contain_balanced_clique():
     with criterion(5, "maximizer witness set contains the balanced clique"):
-        for n in range(6, 8):
+        for n in range(6, 9):
             for k in range(1, n - 2):
                 res = find_extremal(ClassQuery(n=n, k=k), "max", shards=SHARDS)
                 expected, _ = build_K(balanced_profile(n, k))
@@ -222,7 +222,7 @@ def test_criterion_8_interlacing():
 
 def test_criterion_9_bound_soundness():
     with criterion(9, "pendant-count bounds dominate every enumerated class"):
-        for n in range(5, 8):
+        for n in range(5, 9):
             for k in range(1, n - 2):
                 res = find_extremal(ClassQuery(n=n, k=k), "max", shards=SHARDS)
                 worst = res.extremal_value

@@ -198,6 +198,45 @@ def test_girth_against_subset_oracle():
         rep = structure_report(g)
         assert rep.girth == oracle_girth(g)
         assert rep.odd_girth == oracle_girth(g, odd_only=True)
+    # sparse graphs up to order 12: forests, bipartite graphs, and bipartite
+    # graphs with one edge inside a side, whose odd girth often exceeds the girth
+    kinds = set()
+    for trial in range(90):
+        n = rng.randint(9, 12)
+        side = [rng.randrange(2) for _ in range(n)]
+        kind = trial % 3
+        if kind == 0:
+            edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        else:
+            edges = [
+                (u, v)
+                for u, v in itertools.combinations(range(n), 2)
+                if side[u] != side[v] and rng.random() < 0.3
+            ]
+            if kind == 2:
+                members = [[v for v in range(n) if side[v] == s] for s in (0, 1)]
+                edges.append(rng.sample(max(members, key=len), 2))
+        g = Graph.from_edges(n, edges)
+        rep = structure_report(g)
+        assert rep.girth == oracle_girth(g), g.edges()
+        assert rep.odd_girth == oracle_girth(g, odd_only=True), g.edges()
+        if rep.girth is None:
+            kinds.add("forest")
+        elif rep.odd_girth is None:
+            kinds.add("bipartite")
+        elif rep.odd_girth > rep.girth:
+            kinds.add("odd-longer")
+    assert kinds == {"forest", "bipartite", "odd-longer"}
+    # prisms over C5 and C7: every vertex of a shortest odd cycle also lies on
+    # a 4-cycle, so a BFS that stops at the girth never sees the odd cycle
+    for m in (5, 7):
+        ring = [(i, (i + 1) % m) for i in range(m)]
+        prism = Graph.from_edges(
+            2 * m, ring + [(m + u, m + v) for u, v in ring] + [(i, m + i) for i in range(m)]
+        )
+        rep = structure_report(prism)
+        expected = (oracle_girth(prism), oracle_girth(prism, odd_only=True))
+        assert (rep.girth, rep.odd_girth) == expected == (4, m)
 
 
 def per_edge_girth(g):

@@ -126,8 +126,44 @@ def test_nonbipartite_branch_rejected():
     x = np.array([a, 0, -a, 0, -1, -1, 0, 0, 1, 1])
     g, _ = build_K(PendantProfile((2, 2, 2, 0)))
     clique_side = split_branches(g, 1)[0]
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="branch is not bipartite"):
         check_bipartite_branch(g, x, clique_side)
+    # the odd cycle need not pass through the root: a triangle two steps out
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
+    _, x, _ = q_min_of(g)
+    with pytest.raises(InvalidParameterError, match="branch is not bipartite"):
+        check_bipartite_branch(g, x, split_branches(g, 1)[1])
+
+
+def test_branch_sides_are_taken_relative_to_the_root():
+    """Relabelled so that the branch root is its largest vertex and adjacent
+    to its least one, a branch reports the same violations, each moved with
+    its vertex and carrying the same side."""
+    g, lm = build_U_std(7, 2, 3)
+    tree = split_branches(g, lm.cycle[-1])[1]
+    perm = [1, 2, 6, 0, 3, 4, 5]  # the root 2 becomes 6 and its neighbour 3 becomes 0
+    h = g.permuted(perm)
+    moved = BranchSpec(perm[tree.root], frozenset(perm[p] for p in tree.members))
+    assert moved.root == 6 and min(moved.members) == 0 and h.has_edge(0, 6)
+
+    def located(violations, relabel):
+        out = []
+        for kind, at, values in violations:
+            at = tuple(sorted(relabel[v] for v in at)) if isinstance(at, tuple) else relabel[at]
+            out.append((kind, at, values[1] if kind == "part-sign" else None))
+        return sorted(out)
+
+    vectors = eig_sym(q_matrix(g)).eigenvectors
+    kinds = set()
+    for col in range(g.n):
+        x = vectors[:, col]
+        y = np.empty_like(x)
+        y[perm] = x
+        before = check_bipartite_branch(g, x, tree).violations
+        after = check_bipartite_branch(h, y, moved).violations
+        assert located(before, perm) == located(after, range(h.n)), col
+        kinds |= {kind for kind, _, _ in after}
+    assert "part-sign" in kinds
 
 
 def test_branch_sweep_small_classes():
