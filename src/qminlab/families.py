@@ -6,7 +6,8 @@
 * ``build_K``: a clique with prescribed numbers of pendant edges per clique
   vertex; balanced profiles give the least-eigenvalue maximizer family.
 
-Both builders return the graph together with a landmark map naming the
+Both builders write the neighbour masks of the whole graph directly and
+validate it once, returning it together with a landmark map naming the
 vertex roles, so downstream eigenvector checks never re-derive them.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .graphs import Graph, coalesce, complete_graph, cycle_graph, path_graph
+from .graphs import Graph, _integer
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,9 @@ class UParams:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(self.lengths))
+        for name in ("n", "k", "g", "l"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "lengths", tuple(_integer(li, "length") for li in self.lengths))
         if self.g < 3 or self.g % 2 == 0:
             raise InvalidParameterError(f"girth must be odd and >= 3, got {self.g}")
         if self.l < 1:
@@ -82,31 +85,25 @@ def build_U(params: UParams) -> tuple[Graph, ULandmarks]:
     Indices are deterministic: cycle vertices 0..g-1 (the stem attaches at
     g-1), stem vertices appended next, then the pendant paths in order.
     """
-    g = cycle_graph(params.g)
-    attach = params.g - 1
-    if params.l > 1:
-        g = coalesce(g, attach, path_graph(params.l), 0)
-        stem = (attach,) + tuple(range(params.g, params.g + params.l - 1))
-    else:
-        stem = (attach,)
-    anchor = stem[-1]
+    g, l = params.g, params.l
+    stem = (g - 1,) + tuple(range(g, g + l - 1))
     paths = []
+    start = g + l - 1
     for li in params.lengths:
-        start = g.n
-        g = coalesce(g, anchor, path_graph(li), 0)
-        paths.append((anchor,) + tuple(range(start, start + li - 1)))
-    landmarks = ULandmarks(
-        cycle=tuple(range(params.g)),
-        stem=stem,
-        anchor=anchor,
-        pendant_paths=tuple(paths),
-    )
-    assert g.n == params.n
-    return g, landmarks
+        paths.append((stem[-1],) + tuple(range(start, start + li - 1)))
+        start += li - 1
+    masks = [0] * params.n
+    for walk in (tuple(range(g)) + (0,), stem, *paths):
+        for a, b in zip(walk, walk[1:]):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    landmarks = ULandmarks(tuple(range(g)), stem, stem[-1], tuple(paths))
+    return Graph(params.n, tuple(masks)), landmarks
 
 
 def build_U_std(n: int, k: int, g: int) -> tuple[Graph, ULandmarks]:
     """The standard family member: all pendant paths of length 2."""
+    n, k, g = _integer(n, "n"), _integer(k, "k"), _integer(g, "g")
     l = n + k + 1 - g - 2 * k
     if l < 1:
         raise InvalidParameterError(
@@ -124,7 +121,8 @@ class PendantProfile:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        entries = tuple(_integer(e, "profile entry") for e in self.entries)
+        object.__setattr__(self, "entries", entries)
         if not self.entries:
             raise InvalidParameterError("empty pendant profile")
         if any(e < 0 for e in self.entries):
@@ -154,17 +152,15 @@ def build_K(nu: PendantProfile) -> tuple[Graph, KLandmarks]:
         )
     if nu.k < 1:
         raise InvalidParameterError("profile must place at least one pendant")
-    g = complete_graph(core)
-    edges = g.edges()
+    full = (1 << core) - 1
+    masks = [full ^ (1 << i) for i in range(core)]
     pendants = []
-    nxt = core
     for i, cnt in enumerate(nu.entries):
-        mine = tuple(range(nxt, nxt + cnt))
-        edges.extend((i, p) for p in mine)
+        mine = tuple(range(len(masks), len(masks) + cnt))
+        masks[i] |= ((1 << cnt) - 1) << len(masks)
+        masks.extend([1 << i] * cnt)
         pendants.append(mine)
-        nxt += cnt
-    graph = Graph.from_edges(nxt, edges)
-    return graph, KLandmarks(clique=tuple(range(core)), pendants_of=tuple(pendants))
+    return Graph(len(masks), tuple(masks)), KLandmarks(tuple(range(core)), tuple(pendants))
 
 
 def majorizes(nu: PendantProfile, mu: PendantProfile) -> bool:
@@ -187,6 +183,7 @@ def majorizes(nu: PendantProfile, mu: PendantProfile) -> bool:
 
 def balanced_profile(n: int, k: int) -> PendantProfile:
     """The unique profile of length n-k with entries differing by at most 1."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     core = n - k
     if core < 3:
         raise InvalidParameterError(f"need n - k >= 3, got {core}")

@@ -3,6 +3,8 @@
 graph6 (single-byte size form, order <= 62): first byte is n + 63, then the
 upper-triangle adjacency bits in column order x(0,1), x(0,2), x(1,2),
 x(0,3), ... packed 6 per byte, each byte offset by 63, zero-padded.
+Decoding reads the body into one integer and writes each column of bits
+straight into the neighbour masks.
 
 Edge-list text: first line "n m", then m lines "u v" with 0-based indices.
 """
@@ -10,9 +12,12 @@ Edge-list text: first line "n m", then m lines "u v" with 0-based indices.
 from __future__ import annotations
 
 from .errors import CapacityExceededError, InvalidParameterError, ParseError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 GRAPH6_MAX_ORDER = 62
+
+# each 6-bit group with its bits in reverse order
+_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 def _triangle_bits(g: Graph) -> list[int]:
@@ -59,25 +64,29 @@ def decode_graph6(data) -> Graph:
             f"graph6 body for order {n} needs {need} bytes, got {len(data) - 1}",
             offset=off,
         )
-    bits = []
+    # the body as one integer whose bit ``at`` is adjacency bit ``at``
+    body = 0
     for pos, byte in enumerate(data[1:], start=1):
         val = byte - 63
         if not 0 <= val < 64:
             raise ParseError(f"graph6 byte {byte!r} out of range", offset=pos)
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    at = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[at]:
-                edges.append((i, j))
-            at += 1
-    for pos in range(at, len(bits)):
-        if bits[pos]:
-            raise ParseError("nonzero padding bits", offset=1 + pos // 6)
+        body |= _REVERSED6[val] << 6 * (pos - 1)
+    at = n * (n - 1) // 2
+    padding = body >> at
+    if padding:
+        first = at + (padding & -padding).bit_length() - 1
+        raise ParseError("nonzero padding bits", offset=1 + first // 6)
     if n == 0:
         raise ParseError("order-0 graph6 strings are not produced here", offset=0)
-    return Graph.from_edges(n, edges)
+    masks = [0] * n
+    at = 0
+    for j in range(1, n):
+        col = body >> at & ((1 << j) - 1)
+        masks[j] = col
+        for i in _bits(col):
+            masks[i] |= 1 << j
+        at += j
+    return Graph(n, tuple(masks))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -9,6 +9,7 @@ returns a new graph.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -20,6 +21,16 @@ from .errors import CapacityExceededError, InvalidParameterError
 #: Largest order accepted by the exhaustive isomorphism test, that of the
 #: largest searched class.
 ISO_ORDER_CAP = 16
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; bools and non-integers are refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -44,10 +55,12 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph of order ``n`` from an iterable of (u, v) pairs."""
+        n = _integer(n, "graph order")
         if n < 1:
             raise InvalidParameterError(f"graph order must be >= 1, got {n}")
         masks = [0] * n
         for u, v in edges:
+            u, v = _integer(u, "edge end"), _integer(v, "edge end")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u},{v}) out of range for order {n}")
             if u == v:
@@ -72,17 +85,13 @@ class Graph:
     # -- basic queries -----------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.nbr[u] >> v) & 1)
+        return bool((self.nbr[self._check_vertex(u)] >> self._check_vertex(v)) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        self._check_vertex(v)
-        return _bits(self.nbr[v])
+        return _bits(self.nbr[self._check_vertex(v)])
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.nbr[v].bit_count()
+        return self.nbr[self._check_vertex(v)].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.nbr)
@@ -107,9 +116,12 @@ class Graph:
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
         return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(np.float64)
 
-    def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+    def _check_vertex(self, v: int) -> int:
+        """``v`` as a Python int, if it is a vertex of this graph."""
+        v = _integer(v, "vertex")
+        if not 0 <= v < self.n:
             raise InvalidParameterError(f"vertex {v} not in 0..{self.n - 1}")
+        return v
 
     # -- derived graphs ----------------------------------------------------
 
@@ -148,9 +160,11 @@ def path_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """The complete graph on n >= 1 vertices."""
+    n = _integer(n, "graph order")
     if n < 1:
         raise InvalidParameterError(f"a complete graph needs at least 1 vertex, got {n}")
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def coalesce(g1: Graph, v: int, g2: Graph, u: int) -> Graph:
@@ -160,16 +174,14 @@ def coalesce(g1: Graph, v: int, g2: Graph, u: int) -> Graph:
     g1's vertices keep their indices, the merged vertex keeps index ``v``,
     and g2's remaining vertices are appended in increasing original index.
     """
-    g1._check_vertex(v)
-    g2._check_vertex(u)
-    remap = {u: v}
-    nxt = g1.n
-    for w in range(g2.n):
-        if w != u:
-            remap[w] = nxt
-            nxt += 1
-    edges = g1.edges() + [(remap[a], remap[b]) for a, b in g2.edges()]
-    return Graph.from_edges(g1.n + g2.n - 1, edges)
+    v = g1._check_vertex(v)
+    u = g2._check_vertex(u)
+    masks = list(g1.nbr) + [0] * (g2.n - 1)
+    for w, m in enumerate(g2.nbr):
+        # g2's vertex x < u moves to g1.n + x, x > u to g1.n + x - 1, u to v
+        row = (m & ((1 << u) - 1)) << g1.n | (m >> (u + 1)) << (g1.n + u) | (m >> u & 1) << v
+        masks[v if w == u else g1.n + w - (w > u)] |= row
+    return Graph(len(masks), tuple(masks))
 
 
 def attach_pendants(g: Graph, v: int, m: int) -> Graph:

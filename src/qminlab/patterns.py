@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceededError, DegenerateSpectrumError, InvalidParameterError
-from .families import PendantProfile, ULandmarks, build_K, build_U_std
+from .families import ULandmarks, build_U_std
 from .graphs import Graph, _bits, _reach_mask, coalesce, is_connected, two_coloring
-from .spectra import _least_pair, q_matrix, q_min_of, rayleigh, residual
+from .spectra import _least_pair, q_matrix, q_min_of, rayleigh
 
 #: Residual allowance when validating that a supplied vector is an eigenvector.
 EIGENVECTOR_CHECK_TOL = 1e-6
@@ -56,7 +56,7 @@ class PatternReport:
 def split_branches(g: Graph, v: int) -> list[BranchSpec]:
     """One BranchSpec per connected component of g - v, ordered by smallest
     member index; each component is augmented with the root v."""
-    g._check_vertex(v)
+    v = g._check_vertex(v)
     unseen = ((1 << g.n) - 1) & ~(1 << v)
     nbr = [m & unseen for m in g.nbr]
     comps = []
@@ -69,9 +69,9 @@ def split_branches(g: Graph, v: int) -> list[BranchSpec]:
     ]
 
 
-def _normalized_eigenvector(g: Graph, x) -> np.ndarray:
-    """Unit-normalize x and verify it satisfies the eigen-equation for its
-    own Rayleigh quotient; the associated eigenvalue need not be the least."""
+def _normalized_eigenvector(g: Graph, x, q: np.ndarray) -> np.ndarray:
+    """Unit-normalize x and verify it satisfies the eigen-equation of q = Q(g)
+    for its own Rayleigh quotient, which need not be the least eigenvalue."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise InvalidParameterError(f"vector shape {x.shape} != ({g.n},)")
@@ -80,7 +80,7 @@ def _normalized_eigenvector(g: Graph, x) -> np.ndarray:
         raise InvalidParameterError("zero vector is not an eigenvector")
     x = x / norm
     rho = rayleigh(g, x)
-    if residual(g, rho, x) > EIGENVECTOR_CHECK_TOL:
+    if float(np.abs(rho * x - q @ x).max()) > EIGENVECTOR_CHECK_TOL:
         raise InvalidParameterError("vector does not satisfy the eigen-equation")
     return x
 
@@ -89,8 +89,7 @@ def _validate_branch(g: Graph, b: BranchSpec) -> list[tuple[int, int]]:
     """Check BranchSpec invariants; return the branch's induced edges."""
     if b.root not in b.members:
         raise InvalidParameterError("branch root must belong to the branch")
-    for p in b.members:
-        g._check_vertex(p)
+    inside = sum(1 << g._check_vertex(p) for p in b.members)
     inner = b.members - {b.root}
     for p in inner:
         for w in _bits(g.nbr[p]):
@@ -98,8 +97,7 @@ def _validate_branch(g: Graph, b: BranchSpec) -> list[tuple[int, int]]:
                 raise InvalidParameterError(
                     f"branch leaks: vertex {p} has neighbor {w} outside it"
                 )
-    inside = sum(1 << p for p in b.members)
-    if _reach_mask([m & inside for m in g.nbr], 1 << b.root) != inside:
+    if _reach_mask([m & inside for m in g.nbr], 1 << g._check_vertex(b.root)) != inside:
         raise InvalidParameterError("branch members do not induce a connected graph")
     return [(u, v) for u, v in g.edges() if u in b.members and v in b.members]
 
@@ -114,7 +112,7 @@ def check_bipartite_branch(
     2-coloring relative to the root, and values alternate in sign across
     every branch edge.
     """
-    x = _normalized_eigenvector(g, x)
+    x = _normalized_eigenvector(g, x, q_matrix(g))
     edges = _validate_branch(g, b)
     coloring = two_coloring(Graph.from_edges(g.n, edges))
     if coloring is None:
@@ -145,7 +143,7 @@ def check_tree_monotone(
     g: Graph, x, b: BranchSpec, margin: float = 0.0
 ) -> PatternReport:
     """Strict growth of |x| along every root-to-leaf path of a tree branch."""
-    x = _normalized_eigenvector(g, x)
+    x = _normalized_eigenvector(g, x, q_matrix(g))
     branch_edges = _validate_branch(g, b)
     if len(branch_edges) != len(b.members) - 1:
         raise InvalidParameterError("branch is not a tree")
@@ -214,8 +212,9 @@ def check_U_pattern(
     Raises DegenerateSpectrumError when the least eigenvalue is not simple.
     """
     _validate_std_family(g, lm)
-    x = _normalized_eigenvector(g, x)
-    _, _, mult = _least_pair(np.linalg.eigvalsh(q_matrix(g)), None)
+    q = q_matrix(g)
+    x = _normalized_eigenvector(g, x, q)
+    _, _, mult = _least_pair(np.linalg.eigvalsh(q), None)
     if mult != 1:
         raise DegenerateSpectrumError(
             f"least eigenvalue has multiplicity {mult}; pattern needs 1"
@@ -268,7 +267,10 @@ def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> Patter
     u, v = e
     if not g.has_edge(u, v):
         raise InvalidParameterError(f"({u},{v}) is not an edge")
-    a, b = np.linalg.eigvalsh(np.stack([q_matrix(g.without_edge(u, v)), q_matrix(g)]))
+    q = q_matrix(g)
+    deleted = q.copy()  # Q(G - e): entries uv and vu cleared, d(u) and d(v) one lower
+    deleted[[u, v, u, v], [v, u, u, v]] -= 1.0
+    a, b = np.linalg.eigvalsh(np.stack([deleted, q])).tolist()
     bad = []
     for i in range(g.n):
         if not a[i] <= b[i] + tol:
@@ -310,9 +312,7 @@ def relocation_experiment(
     ``margin``); if additionally g2 is a nontrivial path rooted at an end and
     g1 is connected non-bipartite, a strictly larger |x(v1)| (or equal and
     nonzero) forces a strict drop."""
-    g1._check_vertex(v1)
-    g1._check_vertex(v2)
-    g2._check_vertex(u)
+    v1, v2, u = g1._check_vertex(v1), g1._check_vertex(v2), g2._check_vertex(u)
     if v1 == v2:
         raise InvalidParameterError("attachment vertices must differ")
     if not is_connected(g1) or not is_connected(g2):
@@ -385,6 +385,23 @@ def _profiles(length: int, total: int):
     yield from rec(total, length, total)
 
 
+def _clique_family_q(profiles) -> np.ndarray:
+    """Q(G) of ``build_K``'s graph G for each profile of one shape, as a
+    (P, n, n) stack: the clique block, pendant vertex length + t joined to
+    its owner (the number of prefix sums <= t), the degrees on the diagonal."""
+    prof = np.array(profiles, dtype=np.float64)
+    count, length = prof.shape
+    n = length + int(prof[0].sum())
+    slots = np.arange(n - length, dtype=np.float64)[:, None]
+    owners = (np.cumsum(prof, axis=1)[:, None, :] <= slots).sum(axis=2)
+    rows, pendants, diag = np.arange(count)[:, None], np.arange(length, n), np.arange(n)
+    q = np.zeros((count, n, n))
+    q[:, :length, :length] = 1.0 - np.eye(length)
+    q[rows, pendants, owners] = q[rows, owners, pendants] = 1.0
+    q[:, diag, diag] = q.sum(axis=2)
+    return q
+
+
 def majorization_scan(
     length: int, total: int, *, margin: float = 1e-8
 ) -> MajorizationScan:
@@ -392,7 +409,8 @@ def majorization_scan(
     at least 2, assert that the transfer cannot lower the clique family's
     least eigenvalue; also check, per profile with a simple least eigenvalue,
     that more pendants never means a strictly smaller eigenvector magnitude
-    on the clique."""
+    on the clique.  The Q matrices are written straight from the array of
+    profiles, with no graph built."""
     if length < 3 or total < 1:
         raise InvalidParameterError(
             f"need length >= 3 and sum >= 1, got ({length}, {total})"
@@ -404,11 +422,11 @@ def majorization_scan(
     # a unit transfer keeps the shape, so every value compared is one of
     # these profiles': one stacked eigensolve serves the whole scan
     profiles = list(_profiles(length, total))
-    mats = np.stack([q_matrix(build_K(PendantProfile(nu))[0]) for nu in profiles])
-    least = dict(zip(profiles, map(_least_pair, *np.linalg.eigh(mats))))
+    least = dict(zip(profiles, map(_least_pair, *np.linalg.eigh(_clique_family_q(profiles)))))
     bad, rows = [], []
     for nu in profiles:
         qn, vec, mult = least[nu]
+        vec = vec.tolist()
         seen_mu = set()
         for i in range(length):
             for j in range(length):

@@ -1,5 +1,6 @@
 """Extremal family constructions and the majorization order."""
 
+import numpy as np
 import pytest
 
 from qminlab import (
@@ -141,6 +142,25 @@ def test_profile_validation():
         PendantProfile((2, -1))
     with pytest.raises(InvalidParameterError):
         PendantProfile(())
+
+
+def test_integer_like_parameters_convert_and_others_are_refused():
+    assert PendantProfile((np.int64(2), 1, 1)).entries == (2, 1, 1)
+    assert balanced_profile(np.int64(10), np.int32(6)) == balanced_profile(10, 6)
+    assert build_U_std(np.int64(7), 1, 3) == build_U_std(7, 1, 3)
+    params = UParams(n=np.int64(7), k=1, g=np.int8(3), l=4, lengths=[np.int64(2)])
+    assert params == UParams(n=7, k=1, g=3, l=4, lengths=(2,))
+    assert type(params.n) is int and type(params.lengths[0]) is int
+    for bad in [
+        lambda: PendantProfile((2.5, 1, 1)),
+        lambda: PendantProfile((True, 0, 0)),
+        lambda: balanced_profile(7.0, 2),
+        lambda: build_U_std(7, 1.0, 3),
+        lambda: UParams(n=7, k=1, g=3, l=True, lengths=(2,)),
+        lambda: UParams(n=7, k=1, g=3, l=4, lengths=(2.0,)),
+    ]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            bad()
 
 
 # -- majorization ---------------------------------------------------------------

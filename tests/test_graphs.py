@@ -71,6 +71,25 @@ def test_no_self_loops_or_asymmetry():
         Graph(2, (1, 0))  # 0 adj 1 but not vice versa
 
 
+def test_from_edges_takes_numpy_integers_and_refuses_other_values():
+    g = Graph.from_edges(np.int64(3), np.array([[0, 1], [1, 2]]))
+    assert g == path_graph(3)
+    assert all(type(m) is int for m in g.nbr) and type(g.n) is int
+    for n, edges in [(3.0, []), (True, []), (3, [(0, 1.0)]), (3, [(False, 1)])]:
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            Graph.from_edges(n, edges)
+
+
+def test_vertex_arguments_take_numpy_integers_and_refuse_bools():
+    c5 = cycle_graph(5)
+    assert c5.has_edge(np.int64(1), np.int32(2)) and not c5.has_edge(np.int64(2), 4)
+    assert c5.degree(np.uint8(4)) == 2
+    assert list(c5.neighbors(np.int64(0))) == [1, 4]
+    for bad in (True, 1.0, "1", np.True_):
+        with pytest.raises(InvalidParameterError, match="vertex must be an integer"):
+            c5.has_edge(bad, 2)
+
+
 # -- coalescence and pendants -------------------------------------------------
 
 

@@ -79,6 +79,15 @@ def test_split_bad_vertex():
         split_branches(cycle_graph(3), 7)
 
 
+def test_branches_take_numpy_integer_vertices():
+    g, lm = build_U_std(7, 2, 3)
+    _, x, _ = q_min_of(g)
+    assert split_branches(g, np.int64(2)) == split_branches(g, 2)
+    tree = BranchSpec(root=np.int64(2), members=frozenset(np.arange(2, 7)))
+    assert check_bipartite_branch(g, x, tree).passed
+    assert check_tree_monotone(g, x, tree).passed
+
+
 # -- bipartite branch dichotomy ---------------------------------------------------
 
 

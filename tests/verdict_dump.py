@@ -1,0 +1,44 @@
+"""Print the search verdicts of a fixed grid of classes, one line each.
+
+    PYTHONPATH=src python tests/verdict_dump.py > verdicts.txt
+
+Each line holds the objective, the class, the shard count, then
+``graphs_examined``, ``repr`` of the extremal value and the graph6 of every
+witness.  The grid is the general classes of order <= 8 with k >= 1 and the
+unicyclic classes of order 3..10 at every odd girth and every k, each for min
+and max at 1 and 3 shards: 500 lines.  Two versions of the package agree on
+every verdict exactly when their dumps are byte for byte the same, which
+README.md shows how to check with ``cmp``.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+from qminlab.graph6 import encode_graph6
+from qminlab.search import ClassQuery, find_extremal
+
+
+def _queries():
+    for n in range(4, 9):
+        for k in range(1, n - 2):
+            yield ClassQuery(n=n, k=k)
+    for n in range(3, 11):
+        for girth in range(3, n + 1, 2):
+            for k in range(0, n - 2):
+                yield ClassQuery(n=n, k=k, unicyclic_girth=girth)
+
+
+def main() -> None:
+    for q in _queries():
+        for objective in ("min", "max"):
+            for shards in (1, 3):
+                result = find_extremal(q, objective, shards=shards)
+                codes = " ".join(encode_graph6(w).decode() for w in result.witnesses)
+                print(
+                    f"{objective} n={q.n} k={q.k} girth={q.unicyclic_girth} "
+                    f"shards={shards}: {result.graphs_examined} "
+                    f"{result.extremal_value!r} {codes}".rstrip()
+                )
+
+
+if __name__ == "__main__":
+    main()
