@@ -371,7 +371,9 @@ def _find_mapping(g: Graph, h: Graph) -> bool:
             image[v] = -1
         return False
 
-    return assign(0, 0)
+    found = assign(0, 0)
+    del assign  # it refers to itself: free its captured state now, not at a collection
+    return found
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

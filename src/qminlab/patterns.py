@@ -14,6 +14,7 @@ listing every violated assertion instead of failing fast:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -112,6 +113,8 @@ def check_bipartite_branch(
     2-coloring relative to the root, and values alternate in sign across
     every branch edge.
     """
+    if zero_tol is not None and not math.isfinite(zero_tol):
+        raise InvalidParameterError(f"zero_tol must be finite, got {zero_tol}")
     x = _normalized_eigenvector(g, x, q_matrix(g))
     edges = _validate_branch(g, b)
     coloring = two_coloring(Graph.from_edges(g.n, edges))
@@ -143,6 +146,8 @@ def check_tree_monotone(
     g: Graph, x, b: BranchSpec, margin: float = 0.0
 ) -> PatternReport:
     """Strict growth of |x| along every root-to-leaf path of a tree branch."""
+    if not math.isfinite(margin):
+        raise InvalidParameterError(f"margin must be finite, got {margin}")
     x = _normalized_eigenvector(g, x, q_matrix(g))
     branch_edges = _validate_branch(g, b)
     if len(branch_edges) != len(b.members) - 1:
@@ -211,6 +216,8 @@ def check_U_pattern(
 
     Raises DegenerateSpectrumError when the least eigenvalue is not simple.
     """
+    if not math.isfinite(tol):
+        raise InvalidParameterError(f"tol must be finite, got {tol}")
     _validate_std_family(g, lm)
     q = q_matrix(g)
     x = _normalized_eigenvector(g, x, q)
@@ -264,6 +271,8 @@ def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> Patter
     """Edge-deletion interlacing: with spectra ascending, every eigenvalue of
     G-e is at most its counterpart in G, which is at most the next one up in
     G-e."""
+    if not math.isfinite(tol):
+        raise InvalidParameterError(f"tol must be finite, got {tol}")
     u, v = e
     if not g.has_edge(u, v):
         raise InvalidParameterError(f"({u},{v}) is not an edge")
@@ -312,6 +321,8 @@ def relocation_experiment(
     ``margin``); if additionally g2 is a nontrivial path rooted at an end and
     g1 is connected non-bipartite, a strictly larger |x(v1)| (or equal and
     nonzero) forces a strict drop."""
+    if not math.isfinite(margin):
+        raise InvalidParameterError(f"margin must be finite, got {margin}")
     v1, v2, u = g1._check_vertex(v1), g1._check_vertex(v2), g2._check_vertex(u)
     if v1 == v2:
         raise InvalidParameterError("attachment vertices must differ")
@@ -370,19 +381,16 @@ class MajorizationScan:
     report: PatternReport
 
 
-def _profiles(length: int, total: int):
-    """All non-increasing nonnegative integer tuples of the given length/sum."""
-
-    def rec(remaining, slots, cap):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(min(remaining, cap), -1, -1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, length, total)
+def _profiles(length: int, total: int, cap: int | None = None):
+    """All non-increasing nonnegative integer tuples of the given length/sum,
+    no entry above ``cap`` (the sum if None)."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total if cap is None else min(total, cap), -1, -1):
+        for rest in _profiles(length - 1, total - first, first):
+            yield (first,) + rest
 
 
 def _clique_family_q(profiles) -> np.ndarray:
@@ -411,6 +419,8 @@ def majorization_scan(
     that more pendants never means a strictly smaller eigenvector magnitude
     on the clique.  The Q matrices are written straight from the array of
     profiles, with no graph built."""
+    if not math.isfinite(margin):
+        raise InvalidParameterError(f"margin must be finite, got {margin}")
     if length < 3 or total < 1:
         raise InvalidParameterError(
             f"need length >= 3 and sum >= 1, got ({length}, {total})"

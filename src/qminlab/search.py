@@ -18,20 +18,20 @@ labeled candidates:
   as a core plus a pendant placement (see ``_representatives``): the cores
   of order n - k are the connected non-bipartite graphs of that order, one
   per isomorphism class, built by adding a vertex to the connected graphs
-  one order down (see ``_connected``).
+  one order down (see ``_connected_classes``).
 
 Unicyclic classes are searched through order 16, the most a uint16 row
 holds, and general ones through order 8; larger orders are refused.  General
 order 9 needs the cores of order 8, which the vertex-adding build takes about
 40 s to make (a general class of order 8 with no pendant needs them too).
 
-Scan.  Shard s of W is the index range [R*s/W, R*(s+1)/W) of the R
-representatives in their fixed generation order.  No shard rescans
-another's, the unsharded order is the shards' orders concatenated, and
-merged shard results equal the unsharded ones bit for bit because
-``qmin_stack`` gives each matrix the same least eigenvalue whatever batch it
-is solved in (a test re-proves this on a whole class).  A scan keeps the
-positions of the representatives within the tie window.
+Scan.  A class is scanned in one pass over its representatives, held in
+memory in their fixed generation order: the least eigenvalues are solved in
+batches of ``_EIG_BATCH`` matrices, then each objective keeps the positions
+of the values within the tie window of its best value.  ``qmin_stack`` gives
+each matrix the same least eigenvalue whatever batch it is solved in, so the
+batch size does not reach the verdicts.  ``shards`` is accepted and checked
+but has no effect.
 
 Naming.  Tied witnesses are reported one per isomorphism class, each
 relabelled to the lowest mask of its orbit, found by a search over ordered
@@ -46,13 +46,14 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CapacityExceededError, InvalidParameterError
-from .graphs import Graph, _bits, two_coloring
+from .graphs import Graph, _bits, _integer, two_coloring
 # perfbench reaches these two property checks as qminlab.search.*
 from .patterns import interlacing_check, majorization_scan
 from .spectra import qmin_stack
@@ -74,6 +75,9 @@ class ClassQuery:
     unicyclic_girth: Optional[int] = None
 
     def __post_init__(self):
+        names = ("n", "k") if self.unicyclic_girth is None else ("n", "k", "unicyclic_girth")
+        for name in names:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise InvalidParameterError(f"order must be >= 1, got {self.n}")
         if not 0 <= self.k <= self.n:
@@ -92,25 +96,7 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _shard_chunks(total: int, shard_index: int, shard_count: int, size: int):
-    """Yield (start, stop) blocks of at most ``size`` covering positions
-    [total*s/W, total*(s+1)/W) of 0..total-1, for s = shard_index and
-    W = shard_count."""
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
-        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
-    lo = total * shard_index // shard_count
-    hi = total * (shard_index + 1) // shard_count
-    for start in range(lo, hi, size):
-        yield start, min(start + size, hi)
-
-
 # -- representatives -----------------------------------------------------------
-
-
-def _connected(m: int) -> np.ndarray:
-    """The lowest masks of the connected graphs of order m, one per
-    isomorphism class, in increasing order."""
-    return _connected_classes(m)[0]
 
 
 @functools.cache
@@ -135,7 +121,7 @@ def _connected_classes(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     if m == 1:
         return np.zeros(1, dtype=np.int64), (np.zeros((1, 1), dtype=np.int8),)
     columns = np.arange(1, 1 << (m - 1), dtype=np.int64)
-    rest = np.sort((_connected(m - 1)[:, None] << (m - 1) | columns).ravel())
+    rest = np.sort((_connected_classes(m - 1)[0][:, None] << (m - 1) | columns).ravel())
     lowest, auts = [], []
     while rest.size:
         orbit = _orbit(m, int(rest[0]))
@@ -258,6 +244,7 @@ def _rooted_trees(size: int, pendants: int) -> tuple[_Tree, ...]:
                     forests((s, l, at), room - s, leaves - l, children + (kids[at],))
 
     forests((1, 1, 0), size - 1, pendants, ())
+    del forests  # it refers to itself: free its captured state now, not at a collection
     return tuple(sorted(trees))
 
 
@@ -307,6 +294,7 @@ def _unicyclic_classes(n: int, g: int, k: int) -> tuple[np.ndarray, np.ndarray]:
                 extend(prefix + (t,), rest, left - t.pendants, grown)
 
     extend((), n, k, 1)
+    del extend  # it refers to itself: free its captured state now, not at a collection
     parents, counts = [], []
     for seq in seqs:
         images = [c[r:] + c[:r] for c in (seq, seq[::-1]) for r in range(g) if c[r] == seq[0]]
@@ -343,16 +331,6 @@ def _class_rows(q: ClassQuery) -> tuple[np.ndarray, np.ndarray]:
     return _representatives(q.n, q.k)
 
 
-def _representative_stream(q: ClassQuery, shard_index: int, shard_count: int):
-    """Yield (positions, nbr, count) blocks of the class's representatives
-    at positions [R*s/W, R*(s+1)/W) of the R of ``_class_rows``; count is
-    the number of labeled graphs the block's classes hold, a Python int.
-    A block is one eigensolver batch: a (B, n, n) float stack at most."""
-    rows, counts = _class_rows(q)
-    for start, stop in _shard_chunks(len(rows), shard_index, shard_count, _EIG_BATCH):
-        yield np.arange(start, stop), rows[start:stop], sum(counts[start:stop].tolist())
-
-
 # -- extremal search ---------------------------------------------------------
 
 
@@ -366,68 +344,25 @@ class SearchResult:
     graphs_examined: int
 
 
-def _tie_window(value: float, tie_tol: float) -> float:
-    return tie_tol * (1.0 + abs(value))
-
-
-def _keep_ties(objective: str, tie_tol: float, ids: np.ndarray, values: np.ndarray):
-    """The best value, and the ids and values of the candidates within its
-    tie window.  Applied to the ties kept so far plus a new batch, this keeps
-    exactly what a one-at-a-time scan would, since the window's edge moves
-    monotonically with the best value."""
+def _keep_ties(objective: str, tie_tol: float, values: np.ndarray):
+    """The best value, and the positions of the values within its tie window
+    tie_tol * (1 + |best|)."""
     if objective == "min":
         best = float(values.min())
-        keep = values <= best + _tie_window(best, tie_tol)
+        keep = values <= best + tie_tol * (1.0 + abs(best))
     else:
         best = float(values.max())
-        keep = values >= best - _tie_window(best, tie_tol)
-    return best, ids[keep], values[keep]
+        keep = values >= best - tie_tol * (1.0 + abs(best))
+    return best, np.flatnonzero(keep)
 
 
-def _least_values(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Ids and least Q-eigenvalues of the members of some (ids, nbr) blocks:
+def _least_values(n: int, nbr: np.ndarray) -> np.ndarray:
+    """The least Q-eigenvalues of the graphs with these neighbour rows:
     Q = D + A, the degrees being the adjacency rows' sums."""
-    ids = np.concatenate([i for i, _ in blocks])
-    nbr = np.concatenate([b for _, b in blocks])
     ax = np.arange(n)
     qs = ((nbr[:, :, None] >> ax) & 1).astype(np.float64)
     qs[:, ax, ax] = qs.sum(axis=2)
-    return ids, qmin_stack(qs)
-
-
-def _scan_shard(n: int, tie_tol: float, blocks):
-    """Count the labeled graphs one shard's (ids, nbr, count) blocks stand
-    for and keep, per objective, the (ids, values) of every block row within
-    the tie window of the shard's best value.  Ids are int64: positions in
-    the class on the by-class route."""
-    ties = {obj: (np.zeros(0, dtype=np.int64), np.zeros(0)) for obj in ("min", "max")}
-    count = 0
-    pending: list = []
-
-    def flush():
-        ids, values = _least_values(n, pending)
-        pending.clear()
-        for obj in ("min", "max"):
-            kept_ids, kept_values = ties[obj]
-            _, kept_ids, kept_values = _keep_ties(
-                obj,
-                tie_tol,
-                np.concatenate([kept_ids, ids]),
-                np.concatenate([kept_values, values]),
-            )
-            ties[obj] = kept_ids, kept_values
-
-    waiting = 0
-    for ids, nbr, examined in blocks:
-        count += examined
-        pending.append((ids, nbr))
-        waiting += ids.size
-        if waiting >= _EIG_BATCH:
-            flush()
-            waiting = 0
-    if waiting:
-        flush()
-    return count, ties
+    return qmin_stack(qs)
 
 
 @functools.lru_cache(maxsize=2)
@@ -510,6 +445,7 @@ def _lowest_mask(n: int, nbr) -> int:
                 grow(chosen, size, left ^ low)
 
     grow(0, 0, full)
+    del grow  # it refers to itself: free its captured state now, not at a collection
     # a state: its unlabelled set, its blocks, whether the last block is a
     # clique, and which blocks before the last one its members see, as bits
     seeds = [s for s in seeds if not any(lower[v] & ~s for v in _bits(s))]
@@ -563,36 +499,19 @@ def _witness_graphs(n: int, masks) -> tuple[Graph, ...]:
     )
 
 
-def _scan(n: int, tie_tol: float, shards) -> tuple[int, dict[str, tuple[float, np.ndarray]]]:
-    """Merge the scans of some shards' block streams: the number of labeled
-    graphs they stand for and, per objective, the best value with the ids
-    within its tie window (NaN and no ids for an empty class)."""
-    partials = [_scan_shard(n, tie_tol, blocks) for blocks in shards]
-    count = sum(c for c, _ in partials)
-    ties = {}
-    for obj in ("min", "max"):
-        ids = np.concatenate([shard_ties[obj][0] for _, shard_ties in partials])
-        values = np.concatenate([shard_ties[obj][1] for _, shard_ties in partials])
-        ties[obj] = _keep_ties(obj, tie_tol, ids, values)[:2] if count else (math.nan, ids)
-    return count, ties
-
-
 @functools.lru_cache(maxsize=32)
-def _run_scan(q: ClassQuery, tie_tol: float, shards: int):
-    """The query's ``_scan``, cached: one sweep serves both objectives."""
-    return _scan(q.n, tie_tol, [_representative_stream(q, s, shards) for s in range(shards)])
-
-
-@functools.lru_cache(maxsize=32)
-def _search(q: ClassQuery, tie_tol: float, shards: int, objective: str) -> SearchResult:
-    """One objective's result, with only that objective's witnesses named.
-    The generators emit pairwise non-isomorphic representatives, so each
-    witness is only relabelled to its lowest mask."""
-    count, ties = _run_scan(q, tie_tol, shards)
-    best, positions = ties[objective]
-    rows = _class_rows(q)[0][positions].tolist()
-    witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, row) for row in rows])
-    return SearchResult(objective, best, witnesses, count)
+def _run_scan(q: ClassQuery, tie_tol: float):
+    """The number of labeled graphs in the class and, per objective, the
+    best value with the positions of the representatives within its tie
+    window (NaN and none for an empty class): one pass serves both
+    objectives."""
+    rows, counts = _class_rows(q)
+    if not len(rows):
+        return 0, dict.fromkeys(("min", "max"), (math.nan, np.zeros(0, dtype=np.int64)))
+    values = np.concatenate(
+        [_least_values(q.n, rows[at : at + _EIG_BATCH]) for at in range(0, len(rows), _EIG_BATCH)]
+    )
+    return sum(counts.tolist()), {obj: _keep_ties(obj, tie_tol, values) for obj in ("min", "max")}
 
 
 def find_extremal(
@@ -602,18 +521,27 @@ def find_extremal(
     *,
     shards: int = 1,
 ) -> SearchResult:
-    """Stream the class, track the extremal least eigenvalue, and return all
+    """Scan the class, find the extremal least eigenvalue, and return all
     witnesses within the tie tolerance, one per isomorphism class.
 
     ``tie_tol`` is relative: the kept window is tie_tol * (1 + |optimum|),
-    and it must be finite and positive.  Results are cached per query, so
-    asking for the other objective later reuses the same sweep.
+    and it must be a finite positive real.  The scan is cached per query and
+    ``tie_tol``, so asking for the other objective later reuses the same
+    sweep; only the witnesses of the objective asked are named.  ``shards``,
+    an integer >= 1, has no effect on the result.  The generators emit
+    pairwise non-isomorphic representatives, so each witness is only
+    relabelled to its lowest mask.
     """
     if objective not in ("min", "max"):
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
+    if isinstance(tie_tol, bool) or not isinstance(tie_tol, numbers.Real):
+        raise InvalidParameterError(f"tie_tol must be a real number, got {tie_tol!r}")
     if not 0 < tie_tol < math.inf:
         raise InvalidParameterError(f"tie_tol must be finite and positive, got {tie_tol}")
-    if shards < 1:
+    if _integer(shards, "shards") < 1:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    return _search(q, tie_tol, shards, objective)
-
+    count, ties = _run_scan(q, float(tie_tol))
+    best, positions = ties[objective]
+    rows = _class_rows(q)[0][positions].tolist()
+    witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, row) for row in rows])
+    return SearchResult(objective, best, witnesses, count)

@@ -5,7 +5,7 @@ Eigenvalues and eigenvectors come from LAPACK through ``numpy.linalg``;
 stack passed to ``qmin_stack`` is solved one matrix at a time, each copied
 into its own work buffer, so a matrix's result is bit for bit the same
 whether it is solved alone or in a batch of any size: a search's verdicts do
-not depend on how it batches its candidates or splits them into shards.
+not depend on how many representatives it solves at once.
 """
 
 from __future__ import annotations

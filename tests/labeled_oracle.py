@@ -10,13 +10,15 @@ are the 2^M masks in increasing order (rank = mask), a unicyclic class's
 are the C(M, n) n-edge subsets in lexicographic combination order.  Shard s
 of W visits the candidate ranks [C*s/W, C*(s+1)/W).  Candidates travel in
 blocks of masks, each block turned into neighbour rows by lookup tables
-indexed by the low and the high half of a mask (``_nbr_rows``), and each
-block's masks are the ids that ``search._scan`` keeps for its ties.  Degree
+indexed by the low and the high half of a mask (``_nbr_rows``).  Degree
 screens run first, then exact connectivity, odd-cycle and
-cycle-length tests written here apart from ``qminlab.graphs``.  Extremal
-values over labeled graphs and over isomorphism classes coincide, so a scan
-needs no isomorphism rejection; its tied witnesses are deduplicated by
-striking whole orbits of n! relabellings (``_dedup_witnesses``).
+cycle-length tests written here apart from ``qminlab.graphs``.  The scan
+(``labeled_ties``) eigensolves block by block and keeps the masks of the
+members within the tie window as it goes, since order 8 has up to 2^28
+candidates.  Extremal values over labeled graphs and over isomorphism
+classes coincide, so a scan needs no isomorphism rejection; its tied
+witnesses are deduplicated by striking whole orbits of n! relabellings
+(``_dedup_witnesses``).
 ``lowest_mask_by_prefixes`` names a graph's lowest mask by a search over
 labelling prefixes, apart from the search's own, for orders whose n!
 relabellings are too many to scan.
@@ -38,6 +40,7 @@ from qminlab import search
 from qminlab.errors import InvalidParameterError
 from qminlab.graphs import Graph
 from qminlab.search import ClassQuery
+from qminlab.spectra import qmin_stack
 
 _CHUNK = 1 << 16  # candidates per block
 
@@ -235,7 +238,11 @@ def _candidates(n: int, unicyclic: bool, shard_index: int, shard_count: int):
     m_edges = n * (n - 1) // 2
     edge_bit = 1 << np.arange(m_edges - 1, -1, -1, dtype=np.int64)
     total = math.comb(m_edges, n) if unicyclic else 1 << m_edges
-    for start, stop in search._shard_chunks(total, shard_index, shard_count, _CHUNK):
+    if shard_count < 1 or not 0 <= shard_index < shard_count:
+        raise InvalidParameterError(f"bad shard spec {shard_index}/{shard_count}")
+    hi = total * (shard_index + 1) // shard_count
+    for start in range(total * shard_index // shard_count, hi, _CHUNK):
+        stop = min(start + _CHUNK, hi)
         if unicyclic:
             # the name keeps this block's subsets alive while the next block
             # is unranked: freed sooner, their memory goes back to the OS and
@@ -331,10 +338,44 @@ def lowest_mask_by_prefixes(n: int, nbr) -> int:
     return lowest
 
 
+def labeled_ties(n: int, blocks):
+    """Eigensolve every member of some ``_class_stream`` (masks, nbr, count)
+    blocks: the number of members and, per objective, the best value with
+    the masks of the members within its tie window tol * (1 + |best|), tol
+    the search's default (NaN and none for no members).
+
+    Each block's values are merged with the ties kept so far and the window
+    is applied again, which keeps exactly what one window over every member
+    would: the window's edge moves monotonically with the best value.
+    """
+    tol, count = search.DEFAULT_TIE_TOL, 0
+    ties = {obj: (math.nan, np.zeros(0, dtype=np.int64), np.zeros(0)) for obj in ("min", "max")}
+    ax = np.arange(n, dtype=np.uint16)
+    for masks, nbr, members in blocks:
+        count += members
+        if not masks.size:
+            continue
+        qs = ((nbr[:, :, None] >> ax) & 1).astype(np.float64)
+        qs[:, ax, ax] = _popcount()[nbr]
+        values = qmin_stack(qs)
+        for obj in ("min", "max"):
+            _, kept_masks, kept_values = ties[obj]
+            kept_masks = np.concatenate([kept_masks, masks])
+            kept_values = np.concatenate([kept_values, values])
+            if obj == "min":
+                best = float(kept_values.min())
+                keep = kept_values <= best + tol * (1.0 + abs(best))
+            else:
+                best = float(kept_values.max())
+                keep = kept_values >= best - tol * (1.0 + abs(best))
+            ties[obj] = best, kept_masks[keep], kept_values[keep]
+    return count, {obj: (best, masks) for obj, (best, masks, _) in ties.items()}
+
+
 def labeled_result(q: ClassQuery, objective: str, blocks) -> search.SearchResult:
     """The labeled route's result: every labeled member of some
     ``_class_stream`` blocks eigensolved, the witnesses deduplicated."""
-    count, ties = search._scan(q.n, search.DEFAULT_TIE_TOL, [blocks])
+    count, ties = labeled_ties(q.n, blocks)
     best, masks = ties[objective]
     return search.SearchResult(objective, best, _dedup_witnesses(q.n, masks), count)
 

@@ -1,5 +1,6 @@
 """Exhaustive class enumeration, extremal searches, and the lemma experiments."""
 
+import gc
 import itertools
 import math
 import os
@@ -338,7 +339,7 @@ def test_capacity_caps():
 def test_core_class_counts():
     # connected graphs (OEIS A001349) minus connected bipartite ones (A005142)
     connected = [1, 1, 2, 6, 21, 112, 853]
-    assert [search._connected(m).size for m in range(1, 8)] == connected
+    assert [search._connected_classes(m)[0].size for m in range(1, 8)] == connected
     bipartite = [1, 3, 5, 17, 44]
     counts = [len(search._cores(m)) for m in range(3, 8)]
     assert counts == [c - b for c, b in zip(connected[2:], bipartite)] == [1, 3, 16, 95, 809]
@@ -512,7 +513,7 @@ def test_unicyclic_classes_for_one_pendant_count_in_bounded_memory():
 
 
 def _clear_unicyclic_caches():
-    for cache in (search._rooted_trees, search._unicyclic_classes, search._run_scan, search._search):
+    for cache in (search._rooted_trees, search._unicyclic_classes, search._run_scan):
         cache.cache_clear()
 
 
@@ -629,8 +630,7 @@ def test_unicyclic_search_builds_no_relabelling_table(monkeypatch):
 
     monkeypatch.setattr(search, "_permutations", refuse)
     monkeypatch.setattr(search, "_orbit", refuse)
-    for cache in (search._run_scan, search._search):
-        cache.cache_clear()
+    search._run_scan.cache_clear()
     for k, g in ((0, 9), (1, 3), (2, 5)):
         for objective in ("min", "max"):
             res = find_extremal(ClassQuery(n=9, k=k, unicyclic_girth=g), objective, shards=2)
@@ -722,10 +722,9 @@ def _pairwise_dedup(n, masks):
 )
 def test_orbit_dedup_matches_pairwise_isomorphism(query):
     # the labeled tie set, which holds every labeling of each tied class
-    blocks = labeled._class_stream(query, 0, 1)
-    _, ties = search._scan_shard(query.n, search.DEFAULT_TIE_TOL, blocks)
+    _, ties = labeled.labeled_ties(query.n, labeled._class_stream(query, 0, 1))
     for objective in ("min", "max"):
-        _, masks, _ = search._keep_ties(objective, search.DEFAULT_TIE_TOL, *ties[objective])
+        _, masks = ties[objective]
         reps = labeled._dedup_witnesses(query.n, masks)
         expected = _pairwise_dedup(query.n, masks.tolist())
         assert [encode_graph6(g) for g in reps] == [encode_graph6(g) for g in expected]
@@ -756,10 +755,77 @@ def test_objective_validation():
         find_extremal(ClassQuery(n=5, k=1), "min", shards=0)
 
 
-@pytest.mark.parametrize("tie_tol", [math.nan, math.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("tie_tol", [math.nan, math.inf, 0.0, -1e-8, "1e-8", None, 1j])
 def test_tie_tol_must_be_finite_and_positive(tie_tol):
     with pytest.raises(InvalidParameterError):
         find_extremal(ClassQuery(n=5, k=1), "min", tie_tol)
+
+
+@pytest.mark.parametrize("shards", [True, 2.0, "2"])
+def test_shards_must_be_an_integer(shards):
+    with pytest.raises(InvalidParameterError, match="shards must be an integer"):
+        find_extremal(ClassQuery(n=5, k=1), "min", shards=shards)
+
+
+def test_class_query_takes_numpy_integers():
+    q = ClassQuery(n=np.int64(6), k=np.int32(1), unicyclic_girth=np.int16(3))
+    assert q == ClassQuery(n=6, k=1, unicyclic_girth=3)
+    assert hash(q) == hash(ClassQuery(n=6, k=1, unicyclic_girth=3))
+    assert [type(v) for v in (q.n, q.k, q.unicyclic_girth)] == [int, int, int]
+    assert find_extremal(ClassQuery(n=np.int64(6), k=1), "min") == find_extremal(
+        ClassQuery(n=6, k=1), "min"
+    )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(n=7.0, k=2),
+        dict(n=True, k=0),
+        dict(n=7, k=2.0),
+        dict(n=7, k=None),
+        dict(n=7, k=1, unicyclic_girth=3.0),
+        dict(n=7, k=1, unicyclic_girth=True),
+    ],
+)
+def test_class_query_refuses_non_integers(fields):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        ClassQuery(**fields)
+
+
+def test_general_labeled_totals():
+    # over k, the classes hold every connected non-bipartite labeled graph of
+    # order n: connected labeled graphs (OEIS A001187) minus connected
+    # bipartite ones (A001832)
+    connected = {3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+    bipartite = {3: 3, 4: 19, 5: 195, 6: 3031, 7: 67263}
+    totals = {
+        n: sum(find_extremal(ClassQuery(n=n, k=k), "min").graphs_examined for k in range(n - 2))
+        for n in connected
+    }
+    assert totals == {n: connected[n] - bipartite[n] for n in connected}
+    assert list(totals.values()) == [1, 19, 533, 23673, 1798993]
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive closure refers to itself through its cell; unless the
+    # cycle is broken, each call leaves its captured state to the collector
+    for cache in (
+        search._connected_classes, search._cores, search._representatives,
+        search._rooted_trees, search._unicyclic_classes, search._run_scan,
+    ):
+        cache.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for q in (ClassQuery(n=7, k=2), ClassQuery(n=8, k=1, unicyclic_girth=3)):
+            low = find_extremal(q, "min")
+            find_extremal(q, "max")
+        assert is_isomorphic(low.witnesses[0], build_U_std(8, 1, 3)[0])
+        assert majorization_scan(4, 6).report.passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- alpha ------------------------------------------------------------------------
