@@ -70,16 +70,22 @@ class Graph:
         return Graph(n, tuple(masks))
 
     def __post_init__(self):
-        if self.n < 1 or len(self.nbr) != self.n:
+        n, nbr = self.n, self.nbr
+        # the builders and decode_graph6 pass a tuple of ints, kept as it is
+        if type(n) is not int or type(nbr) is not tuple or not all(type(m) is int for m in nbr):
+            n, nbr = _integer(n, "graph order"), tuple(_integer(m, "neighbor mask") for m in nbr)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "nbr", nbr)
+        if n < 1 or len(nbr) != n:
             raise InvalidParameterError("inconsistent graph order")
-        full = (1 << self.n) - 1
-        for v, m in enumerate(self.nbr):
+        full = (1 << n) - 1
+        for v, m in enumerate(nbr):
             if m & ~full:
                 raise InvalidParameterError(f"neighbor mask of {v} out of range")
             if (m >> v) & 1:
                 raise InvalidParameterError(f"self-loop at vertex {v}")
             for u in _bits(m):
-                if not (self.nbr[u] >> v) & 1:
+                if not (nbr[u] >> v) & 1:
                     raise InvalidParameterError(f"asymmetric adjacency at ({v},{u})")
 
     # -- basic queries -----------------------------------------------------

@@ -1,6 +1,6 @@
 """Exhaustive extremal searches over graph classes at small order, one
-isomorphism class at a time, in three stages: class generation, the scan,
-and witness naming.  The property experiments live in ``patterns``.
+isomorphism class at a time, in two stages: class generation and the scan.
+The property experiments live in ``patterns``.
 
 A labeled graph of order n <= 16 travels as its neighbour rows: n uint16
 masks, bit u of row v set when u and v are adjacent.
@@ -33,11 +33,12 @@ each matrix the same least eigenvalue whatever batch it is solved in, so the
 batch size does not reach the verdicts.  ``shards`` is accepted and checked
 but has no effect.
 
-Naming.  Tied witnesses are reported one per isomorphism class, each
-relabelled to the lowest mask of its orbit, found by a search over ordered
-partitions (``_lowest_mask``), and only for the objective asked for.  A mask
-is an edge subset of K_n as a Python int: edge b of K_n (column order:
-(0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
+Witnesses.  The tied representatives are reported as the generator emitted
+them, in generation order and labelling, one per isomorphism class since the
+generators emit one graph per class, and only for the objective asked for.
+
+A mask is an edge subset of K_n as a Python int: edge b of K_n (column
+order: (0,1), (0,2), (1,2), (0,3), ...) occupies bit M-1-b.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapacityExceededError, InvalidParameterError
-from .graphs import Graph, _bits, _integer, two_coloring
+from .graphs import Graph, _integer, two_coloring
 # perfbench reaches these two property checks as qminlab.search.*
 from .patterns import interlacing_check, majorization_scan
 from .spectra import qmin_stack
@@ -397,98 +398,6 @@ def _orbit(n: int, mask: int) -> np.ndarray:
     return np.bitwise_or.reduce(_edge_images(n)[present], axis=0)
 
 
-def _lowest_mask(n: int, nbr) -> int:
-    """The lowest mask over all relabellings of the graph with these
-    neighbour rows, found without enumerating the n! of them.
-
-    Column j of a mask is the adjacency of label j to labels 0..j-1, (0, j)
-    its top bit, so the lowest mask is the least sequence of columns.  The
-    labellings whose columns so far are least are held as states: ordered
-    partitions of the labelled vertices into blocks of consecutive labels,
-    each block's inner order left open.
-
-    * Seed: the lowest mask's first a columns are zero (a the independence
-      number), so its first a labels are a maximum independent set, in any
-      order: one one-block state per such set, found by branch and bound.
-    * Blocks: labels with one code against the blocks before them, pairwise
-      non-adjacent (columns c, 2c, 4c, ...) or adjacent (c, 2c+1, 4c+3, ...),
-      give the same columns in every inner order.  A vertex's least code
-      puts its neighbours last in each block; labelling it splits each block
-      into its non-neighbours, then its neighbours, unless it joins the last
-      block: same code before it, and sees none or all of it, as the
-      block's kind allows.
-    * Merge: states with the same unlabelled set, last block's code before
-      it and kind, and, block by block, multiset of members' neighbourhoods
-      among the unlabelled have the same futures; one is kept.
-
-    Twins (the same neighbours besides each other) are swapped by an
-    automorphism, so only the least unlabelled one of a twin class is
-    labelled next, and only seeds holding the least ones are kept.
-    """
-    nbr = [int(row) for row in nbr]
-    m_edges, full, lowest = n * (n - 1) // 2, (1 << n) - 1, 0
-    lower = [0] * n  # each vertex's twins below it
-    for u, v in itertools.combinations(range(n), 2):
-        if nbr[u] ^ nbr[v] in (0, 1 << u | 1 << v):  # non-adjacent or adjacent twins
-            lower[v] |= 1 << u
-    seeds, alpha = [], [0]
-
-    def grow(chosen: int, size: int, left: int):  # take or drop the least vertex left
-        if size + left.bit_count() >= alpha[0]:
-            if not left:
-                if size > alpha[0]:
-                    alpha[0], seeds[:] = size, []
-                seeds.append(chosen)
-            else:
-                low = left & -left
-                grow(chosen | low, size + 1, left & ~nbr[low.bit_length() - 1] ^ low)
-                grow(chosen, size, left ^ low)
-
-    grow(0, 0, full)
-    del grow  # it refers to itself: free its captured state now, not at a collection
-    # a state: its unlabelled set, its blocks, whether the last block is a
-    # clique, and which blocks before the last one its members see, as bits
-    seeds = [s for s in seeds if not any(lower[v] & ~s for v in _bits(s))]
-    states = [(full ^ s, (s,), False, 0) for s in seeds]
-    for j in range(alpha[0], n):
-        best, picks = 1 << j, []  # above every code of j bits
-        for state in states:
-            unlabelled, blocks = state[:2]
-            for v in _bits(unlabelled):
-                if lower[v] & unlabelled:
-                    continue
-                code = 0
-                for b in blocks:
-                    code = code << b.bit_count() | (1 << (nbr[v] & b).bit_count()) - 1
-                if code < best:
-                    best, picks = code, []
-                if code == best:
-                    picks.append((state, v))
-        lowest |= best << (m_edges - j * (j + 1) // 2)
-        merged = {}
-        for (unlabelled, blocks, clique, prior), v in picks:
-            row, rest, last = nbr[v], unlabelled ^ 1 << v, blocks[-1]
-            w = (last & -last).bit_length() - 1
-            kinds = (0, last) if last == 1 << w else (last if clique else 0,)
-            if not (row ^ nbr[w]) & (full ^ unlabelled ^ last) and row & last in kinds:
-                blocks, clique = blocks[:-1] + (last | 1 << v,), row & last > 0
-            else:
-                parts, prior = [], 0
-                for part in (p for b in blocks for p in (b & ~row, b & row) if p):
-                    parts.append(part)
-                    prior = prior << 1 | (part & row > 0)
-                blocks, clique = (*parts, 1 << v), False
-            members = tuple(
-                tuple(sorted(nbr[u] & rest for u in _bits(b)))
-                if b & b - 1
-                else nbr[b.bit_length() - 1] & rest
-                for b in blocks
-            )
-            merged.setdefault((rest, clique, prior, members), (rest, blocks, clique, prior))
-        states = list(merged.values())
-    return lowest
-
-
 def _witness_graphs(n: int, masks) -> tuple[Graph, ...]:
     """The graphs of some masks, in increasing mask order."""
     edges = _edge_list(n)
@@ -527,10 +436,10 @@ def find_extremal(
     ``tie_tol`` is relative: the kept window is tie_tol * (1 + |optimum|),
     and it must be a finite positive real.  The scan is cached per query and
     ``tie_tol``, so asking for the other objective later reuses the same
-    sweep; only the witnesses of the objective asked are named.  ``shards``,
+    sweep; only the witnesses of the objective asked are built.  ``shards``,
     an integer >= 1, has no effect on the result.  The generators emit
-    pairwise non-isomorphic representatives, so each witness is only
-    relabelled to its lowest mask.
+    pairwise non-isomorphic representatives, so the witnesses are the tied
+    representatives themselves, in generation order and labelling.
     """
     if objective not in ("min", "max"):
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
@@ -543,5 +452,4 @@ def find_extremal(
     count, ties = _run_scan(q, float(tie_tol))
     best, positions = ties[objective]
     rows = _class_rows(q)[0][positions].tolist()
-    witnesses = _witness_graphs(q.n, [_lowest_mask(q.n, row) for row in rows])
-    return SearchResult(objective, best, witnesses, count)
+    return SearchResult(objective, best, tuple(Graph(q.n, tuple(row)) for row in rows), count)

@@ -20,8 +20,9 @@ classes coincide, so a scan needs no isomorphism rejection; its tied
 witnesses are deduplicated by striking whole orbits of n! relabellings
 (``_dedup_witnesses``).
 ``lowest_mask_by_prefixes`` names a graph's lowest mask by a search over
-labelling prefixes, apart from the search's own, for orders whose n!
-relabellings are too many to scan.
+labelling prefixes, for orders whose n! relabellings are too many to scan:
+the search reports its witnesses as generated, so witnesses compared across
+routes or versions are canonicalized by their lowest masks first.
 
 ``LabeledQuery`` also reads the two relaxations the search does not offer
 (members may be disconnected, or bipartite), which some tests enumerate.
@@ -305,7 +306,7 @@ def _dedup_witnesses(n: int, masks: np.ndarray) -> tuple[Graph, ...]:
 
 def lowest_mask_by_prefixes(n: int, nbr) -> int:
     """The lowest mask over all relabellings of the graph with these
-    neighbour rows, by a search apart from ``search._lowest_mask``.
+    neighbour rows, without enumerating the n! relabellings.
 
     Column j of a mask is the adjacency of the vertex labelled j to labels
     0..j-1, (0, j) its most significant bit, so the lowest mask is the

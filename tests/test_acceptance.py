@@ -148,12 +148,10 @@ def test_criterion_3_minimizers_over_pendant_classes():
 
 
 def test_criterion_4_unicyclic_minimizers():
-    with criterion(4, "exhaustive unicyclic minimizers, n<=16, girth 3 and 5"):
+    with criterion(4, "exhaustive unicyclic minimizers, n<=16, every odd girth"):
         for n in range(5, 17):
-            for g_len in (3, 5):
+            for g_len in range(3, n + 1, 2):
                 for k in range(1, n - g_len + 1):
-                    if n + k + 1 - g_len - 2 * k < 1:
-                        continue
                     expected, _ = build_U_std(n, k, g_len)
                     res = find_extremal(
                         ClassQuery(n=n, k=k, unicyclic_girth=g_len),

@@ -80,6 +80,32 @@ def test_from_edges_takes_numpy_integers_and_refuses_other_values():
             Graph.from_edges(n, edges)
 
 
+def test_graph_stores_a_list_of_rows_as_a_tuple():
+    g = Graph(3, [6, 5, 3])
+    assert g == Graph(3, (6, 5, 3)) == cycle_graph(3)
+    assert type(g.nbr) is tuple and hash(g) == hash(cycle_graph(3))
+    assert is_isomorphic(g, cycle_graph(3))
+
+
+def test_graph_takes_numpy_integer_rows():
+    g = Graph(np.int64(2), (np.int64(2), np.int64(1)))
+    assert g == path_graph(2) and hash(g) == hash(path_graph(2))
+    assert type(g.n) is int and all(type(m) is int for m in g.nbr)
+    assert Graph(3, np.array([6, 5, 3], dtype=np.uint16)) == cycle_graph(3)
+
+
+def test_graph_refuses_non_integer_rows():
+    for nbr in [(2.0, 1.0), (2, True), ("2", "1")]:
+        with pytest.raises(InvalidParameterError, match="neighbor mask must be an integer"):
+            Graph(2, nbr)
+
+
+def test_graph_refuses_a_non_integer_order():
+    for n in (True, 1.0, np.True_):
+        with pytest.raises(InvalidParameterError, match="graph order must be an integer"):
+            Graph(n, (0,))
+
+
 def test_vertex_arguments_take_numpy_integers_and_refuse_bools():
     c5 = cycle_graph(5)
     assert c5.has_edge(np.int64(1), np.int32(2)) and not c5.has_edge(np.int64(2), 4)

@@ -4,17 +4,23 @@
 
 Each line holds the objective, the class, the shard count, then
 ``graphs_examined``, ``repr`` of the extremal value and the graph6 of every
-witness.  The grid is the general classes of order <= 8 with k >= 1 and the
-unicyclic classes of order 3..10 at every odd girth and every k, each for min
-and max at 1 and 3 shards: 500 lines.  Two versions of the package agree on
-every verdict exactly when their dumps are byte for byte the same, which
-README.md shows how to check with ``cmp``.  pytest does not collect this file.
+witness, relabelled to the lowest mask of its orbit, in increasing order of
+that mask.  The search reports witnesses in generation order and labelling,
+which a change to a generator may alter while every verdict stays; that
+canonicalization is why this script imports ``labeled_oracle``, whose
+``lowest_mask_by_prefixes`` finds the lowest mask.  The grid is the general
+classes of order <= 8 with k >= 1 and the unicyclic classes of order 3..10
+at every odd girth and every k, each for min and max at 1 and 3 shards: 500
+lines.  Two versions of the package agree on every verdict exactly when
+their dumps are byte for byte the same, which README.md shows how to check
+with ``cmp``.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+from labeled_oracle import lowest_mask_by_prefixes
 from qminlab.graph6 import encode_graph6
-from qminlab.search import ClassQuery, find_extremal
+from qminlab.search import ClassQuery, _witness_graphs, find_extremal
 
 
 def _queries():
@@ -32,7 +38,8 @@ def main() -> None:
         for objective in ("min", "max"):
             for shards in (1, 3):
                 result = find_extremal(q, objective, shards=shards)
-                codes = " ".join(encode_graph6(w).decode() for w in result.witnesses)
+                lowest = [lowest_mask_by_prefixes(q.n, w.nbr) for w in result.witnesses]
+                codes = " ".join(encode_graph6(w).decode() for w in _witness_graphs(q.n, lowest))
                 print(
                     f"{objective} n={q.n} k={q.k} girth={q.unicyclic_girth} "
                     f"shards={shards}: {result.graphs_examined} "
