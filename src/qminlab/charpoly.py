@@ -13,7 +13,9 @@ every partial sum of its trace at most n times that.  The recurrence carries
 e as a Python int (refreshed from the array when it grows too large) and runs
 on int64 while n ||A|| (e + |c|) < 2^62, so no int64 sum can overflow; from
 the first step where the bound fails it continues on Python ints.  Either
-way every entry is the exact integer, so the coefficients are the same.
+way every entry is the exact integer, so the coefficients are the same.  Two
+buffers take turns: each product is written into the one not holding its
+factor, and each trace is read from a view of the new one's diagonal.
 
 Root isolation uses Python integers only.  Rational or float coefficients are
 first scaled to integers by a positive factor; the Sturm chain comes from
@@ -129,7 +131,8 @@ def charpoly_coeffs(m) -> list[int]:
         else:
             a = a.astype(object)
     coeffs = [1]
-    mk = a.copy()
+    mk, spare = a.copy(), np.empty_like(a)
+    diag, spare_diag = mk.reshape(-1)[:: n + 1], spare.reshape(-1)[:: n + 1]
     for k in range(1, n + 1):
         if k > 1:
             if a.dtype != object:
@@ -137,11 +140,13 @@ def charpoly_coeffs(m) -> list[int]:
                 if n * bound >= _INT64_SAFE:  # tighten with the measured max|M_{k-1}|
                     bound = norm * (int(np.abs(mk).max()) + abs(coeffs[-1]))
                 if n * bound >= _INT64_SAFE:
-                    a, mk = a.astype(object), mk.astype(object)
+                    a, mk, spare = a.astype(object), mk.astype(object), np.empty(a.shape, object)
+                    diag, spare_diag = mk.reshape(-1)[:: n + 1], spare.reshape(-1)[:: n + 1]
                 entry = bound
-            mk.reshape(-1)[:: n + 1] += coeffs[-1]
-            mk = a.dot(mk)
-        ck, rem = divmod(-sum(mk.ravel().tolist()[:: n + 1]), k)
+            diag += coeffs[-1]
+            mk, spare = np.dot(a, mk, out=spare), mk
+            diag, spare_diag = spare_diag, diag
+        ck, rem = divmod(-sum(diag.tolist()), k)
         if rem:
             raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
@@ -268,11 +273,15 @@ def _isolates(poly, t, l: int, h: int, b: int) -> bool:
     """Whether (l/b, h/b] holds the smallest root of ``poly``, simple, and no
     other root, from t, the Taylor shift at l/b (see the module docstring)."""
     sign = 1 if t[0] > 0 else -1
+    same, other = (t[::2], t[1::2]) if sign > 0 else (t[1::2], t[::2])
+    slope = 0  # the sum over j >= 2 of j |t_j| (h - l)^(j-1), by Horner's rule
+    for j in range(len(t) - 1, 1, -1):
+        slope = (slope + j * abs(t[j])) * (h - l)
     return (
         t[0] != 0
-        and all(c * sign * (-1) ** j >= 0 for j, c in enumerate(t))  # p(L - z): no sign variation
+        and min(same) >= 0 and max(other) <= 0  # p(L - z): no sign variation
         and _scaled_value(poly, h, b) * sign <= 0
-        and abs(t[1]) > sum(j * abs(c) * (h - l) ** (j - 1) for j, c in enumerate(t) if j > 1)
+        and abs(t[1]) > slope
     )
 
 
@@ -309,9 +318,12 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     if not (math.isfinite(width) and width > 0):
         raise InvalidParameterError(f"width must be finite and positive, got {width!r}")
     width_num, width_den = _ratio(width)
-    ratios = [_ratio(c) for c in coeffs]
-    scale = math.lcm(*(den for _, den in ratios))
-    p = _poly_trim([num * (scale // den) for num, den in ratios])
+    if all(type(c) is int for c in coeffs):  # already integers: scale 1
+        p = _poly_trim(list(coeffs))
+    else:
+        ratios = [_ratio(c) for c in coeffs]
+        scale = math.lcm(*(den for _, den in ratios))
+        p = _poly_trim([num * (scale // den) for num, den in ratios])
     if len(p) < 2:
         raise InvalidParameterError("constant polynomial has no roots")
     # the points lo/den, mid/den, hi/den are exactly the rational bisection

@@ -12,7 +12,7 @@ Edge-list text: first line "n m", then m lines "u v" with 0-based indices.
 from __future__ import annotations
 
 from .errors import CapacityExceededError, InvalidParameterError, ParseError
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 GRAPH6_MAX_ORDER = 62
 
@@ -81,10 +81,12 @@ def decode_graph6(data) -> Graph:
     masks = [0] * n
     at = 0
     for j in range(1, n):
-        col = body >> at & ((1 << j) - 1)
-        masks[j] = col
-        for i in _bits(col):
-            masks[i] |= 1 << j
+        col = masks[j] = body >> at & ((1 << j) - 1)
+        bit = 1 << j
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= bit
+            col ^= low
         at += j
     return Graph(n, tuple(masks))
 

@@ -73,13 +73,33 @@ class Graph:
         n, nbr = self.n, self.nbr
         # the builders and decode_graph6 pass a tuple of ints, kept as it is
         if type(n) is not int or type(nbr) is not tuple or not all(type(m) is int for m in nbr):
-            n, nbr = _integer(n, "graph order"), tuple(_integer(m, "neighbor mask") for m in nbr)
+            n = _integer(n, "graph order")
+            try:
+                nbr = tuple(_integer(m, "neighbor mask") for m in nbr)
+            except TypeError:
+                message = f"neighbor masks must be iterable, got {nbr!r}"
+                raise InvalidParameterError(message) from None
             object.__setattr__(self, "n", n)
             object.__setattr__(self, "nbr", nbr)
         if n < 1 or len(nbr) != n:
             raise InvalidParameterError("inconsistent graph order")
-        full = (1 << n) - 1
+        # symmetric: every bit above the diagonal is mirrored below it, and
+        # no more bits are set below it than above
+        full, above, total = (1 << n) - 1, 0, 0
         for v, m in enumerate(nbr):
+            if m & ~full or m >> v & 1:
+                break
+            total += m.bit_count()
+            up = m >> v + 1 << v + 1
+            while up and nbr[(up & -up).bit_length() - 1] >> v & 1:
+                up &= up - 1
+                above += 1
+            if up:
+                break
+        else:
+            if total == 2 * above:
+                return
+        for v, m in enumerate(nbr):  # a fault: name the first, bit by bit
             if m & ~full:
                 raise InvalidParameterError(f"neighbor mask of {v} out of range")
             if (m >> v) & 1:
@@ -105,10 +125,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         out = []
-        for u in range(self.n):
-            m = self.nbr[u] >> (u + 1)
-            for d in _bits(m):
-                out.append((u, u + 1 + d))
+        for u, m in enumerate(self.nbr):
+            m >>= u + 1
+            while m:
+                low = m & -m
+                out.append((u, u + low.bit_length()))
+                m ^= low
         return out
 
     @property
@@ -124,6 +146,8 @@ class Graph:
 
     def _check_vertex(self, v: int) -> int:
         """``v`` as a Python int, if it is a vertex of this graph."""
+        if type(v) is int and 0 <= v < self.n:
+            return v
         v = _integer(v, "vertex")
         if not 0 <= v < self.n:
             raise InvalidParameterError(f"vertex {v} not in 0..{self.n - 1}")
@@ -256,9 +280,10 @@ def two_coloring(g: Graph) -> Optional[TwoColoring]:
     return TwoColoring(tuple(part))
 
 
-def _short_cycles(g: Graph) -> tuple[Optional[int], Optional[int]]:
-    """(girth, odd girth): the lengths of a shortest cycle and of a shortest
-    odd cycle, each None where g has no such cycle.
+def _short_cycles(g: Graph) -> tuple[Optional[int], Optional[int], bool]:
+    """(girth, odd girth, connected): the lengths of a shortest cycle and of a
+    shortest odd cycle, each None where g has no such cycle, and whether g is
+    connected.
 
     One layered BFS per root.  An edge inside layer d closes an odd closed
     walk of length 2d + 1 through the root, and a vertex of layer d + 1 with
@@ -266,7 +291,9 @@ def _short_cycles(g: Graph) -> tuple[Optional[int], Optional[int]]:
     it; the first holds an odd cycle no longer than 2d + 1, the second a
     cycle no longer than 2d + 2.  A shortest cycle and a shortest odd cycle
     are isometric, so a BFS from any of their vertices meets each at exactly
-    its length: the minimum over roots is exact for both.
+    its length: the minimum over roots is exact for both.  A triangle ends
+    the search, as no cycle is shorter.  Root 0's BFS is run on to the end
+    of its component, which decides connectivity.
     """
     absent = g.n + 1  # longer than any cycle
     best = odd = absent
@@ -288,7 +315,11 @@ def _short_cycles(g: Graph) -> tuple[Optional[int], Optional[int]]:
             seen |= once
             frontier = once
             depth += 1
-    return (best if best < absent else None), (odd if odd < absent else None)
+        if not root:
+            connected = _reach_mask(g.nbr, seen) == (1 << g.n) - 1
+        if odd == 3:
+            break
+    return (best if best < absent else None), (odd if odd < absent else None), connected
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -303,13 +334,13 @@ def odd_girth(g: Graph) -> Optional[int]:
 
 def structure_report(g: Graph) -> StructureReport:
     degs = g.degrees()
-    shortest, shortest_odd = _short_cycles(g)
+    shortest, shortest_odd, connected = _short_cycles(g)
     return StructureReport(
-        connected=is_connected(g),
-        bipartite=two_coloring(g),
+        connected=connected,
+        bipartite=two_coloring(g) if shortest_odd is None else None,
         girth=shortest,
         odd_girth=shortest_odd,
-        pendant_count=sum(1 for d in degs if d == 1),
+        pendant_count=degs.count(1),
         min_degree=min(degs),
         degrees=degs,
     )

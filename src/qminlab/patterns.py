@@ -76,7 +76,7 @@ def _normalized_eigenvector(g: Graph, x, q: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise InvalidParameterError(f"vector shape {x.shape} != ({g.n},)")
-    norm = float(np.linalg.norm(x))
+    norm = math.sqrt(x.dot(x))  # np.linalg.norm's own formula
     if norm == 0:
         raise InvalidParameterError("zero vector is not an eigenvector")
     x = x / norm
@@ -220,7 +220,7 @@ def check_U_pattern(
         raise InvalidParameterError(f"tol must be finite, got {tol}")
     _validate_std_family(g, lm)
     q = q_matrix(g)
-    x = _normalized_eigenvector(g, x, q)
+    x = _normalized_eigenvector(g, x, q).tolist()
     _, _, mult = _least_pair(np.linalg.eigvalsh(q), None)
     if mult != 1:
         raise DegenerateSpectrumError(
@@ -276,10 +276,12 @@ def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> Patter
     u, v = e
     if not g.has_edge(u, v):
         raise InvalidParameterError(f"({u},{v}) is not an edge")
-    q = q_matrix(g)
-    deleted = q.copy()  # Q(G - e): entries uv and vu cleared, d(u) and d(v) one lower
-    deleted[[u, v, u, v], [v, u, u, v]] -= 1.0
-    a, b = np.linalg.eigvalsh(np.stack([deleted, q])).tolist()
+    pair = np.repeat(q_matrix(g)[None], 2, axis=0)
+    deleted = pair[0]  # Q(G - e): entries uv and vu cleared, d(u) and d(v) one lower
+    deleted[u, v] = deleted[v, u] = 0.0
+    deleted[u, u] -= 1.0
+    deleted[v, v] -= 1.0
+    a, b = np.linalg.eigvalsh(pair).tolist()
     bad = []
     for i in range(g.n):
         if not a[i] <= b[i] + tol:

@@ -5,7 +5,10 @@ Eigenvalues and eigenvectors come from LAPACK through ``numpy.linalg``;
 stack passed to ``qmin_stack`` is solved one matrix at a time, each copied
 into its own work buffer, so a matrix's result is bit for bit the same
 whether it is solved alone or in a batch of any size: a search's verdicts do
-not depend on how many representatives it solves at once.
+not depend on how many representatives it solves at once.  ``q_min_of``
+calls ``eigh`` itself: ``q_matrix(g)`` is symmetric and integral by
+construction, so ``eig_sym``'s checks cannot fail and its residual bound
+would go unused.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ _LEAD_TIE_TOL = 1e-8  # relative; magnitudes this close tie for the sign lead
 def q_matrix(g: Graph) -> np.ndarray:
     """The signless Laplacian D + A of ``g`` as a dense float array."""
     q = g.adjacency_matrix()
-    q[np.arange(g.n), np.arange(g.n)] = g.degrees()
+    q.reshape(-1)[:: g.n + 1] = g.degrees()
     return q
 
 
@@ -46,9 +49,9 @@ def _check_symmetric(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if not (m == m.T).all():
         raise InvalidParameterError("matrix is not exactly symmetric")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidParameterError("matrix has non-finite entries")
     return m
 
@@ -85,8 +88,7 @@ def q_min_of(
     entry is positive, ties (magnitudes within 1e-8 * max|x| of the largest)
     broken by lowest vertex index.
     """
-    spec = eig_sym(q_matrix(g))
-    return _least_pair(spec.eigenvalues, spec.eigenvectors, group_tol)
+    return _least_pair(*np.linalg.eigh(q_matrix(g)), group_tol)
 
 
 def _least_pair(values, vectors, group_tol=None):
@@ -97,12 +99,12 @@ def _least_pair(values, vectors, group_tol=None):
         group_tol = DEFAULT_GROUP_TOL * (1.0 + abs(value))
     elif not 0 < group_tol < math.inf:
         raise InvalidParameterError(f"group_tol must be finite and positive, got {group_tol}")
-    multiplicity = int(np.sum(values <= value + group_tol))
+    multiplicity = int((values <= value + group_tol).sum())
     if vectors is None:
         return value, None, multiplicity
     vector = vectors[:, 0].copy()
     mags = np.abs(vector)
-    lead = int(np.argmax(mags >= mags.max() * (1.0 - _LEAD_TIE_TOL)))
+    lead = int((mags >= mags.max() * (1.0 - _LEAD_TIE_TOL)).argmax())
     if vector[lead] < 0:
         vector = -vector
     return value, vector, multiplicity
@@ -119,11 +121,11 @@ def _check_vertex_vector(g: Graph, x) -> np.ndarray:
 
 def rayleigh(g: Graph, x) -> float:
     """Quadratic form sum over edges uv of (x(u) + x(v))^2; equals x^T Q x."""
-    x = _check_vertex_vector(g, x)
+    x = _check_vertex_vector(g, x).tolist()
     total = 0.0
     for u, v in g.edges():
         total += (x[u] + x[v]) ** 2
-    return float(total)
+    return total
 
 
 def residual(g: Graph, q: float, x) -> float:

@@ -387,13 +387,15 @@ def test_oracle_never_consults_lapack_for_its_matrix(monkeypatch):
 
 
 class _RecordingMatrix(np.ndarray):
-    """Records the dtype of every product ``charpoly_coeffs`` forms with it."""
+    """Records the dtype of the buffer every product ``charpoly_coeffs``
+    forms with it is written into (``np.dot(..., out=)``)."""
 
     products = []
 
-    def dot(self, other):
-        _RecordingMatrix.products.append(str(other.dtype))
-        return super().dot(other)
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            _RecordingMatrix.products.append(str(kwargs["out"].dtype))
+        return super().__array_function__(func, types, args, kwargs)
 
 
 @pytest.fixture
@@ -515,6 +517,46 @@ def test_misleading_estimate_leaves_roots_bit_identical(corpora, monkeypatch, na
     monkeypatch.setattr(charpoly, "_root_estimate", lambda sf: mislead(estimate, sf))
     for coeffs, expected in corpora:
         assert _outcome(smallest_real_root, coeffs) == expected, coeffs
+
+
+def test_integer_coefficients_give_the_scaled_route_root(corpora):
+    # all-int coefficients skip the rational scaling; as Fractions they take it
+    checked = 0
+    for coeffs, expected in corpora:
+        if all(type(c) is int for c in coeffs):
+            assert _outcome(smallest_real_root, [Fraction(c) for c in coeffs]) == expected, coeffs
+            checked += 1
+    assert checked >= 400
+
+
+def _ref_isolates(poly, t, l, h, b):
+    """``_isolates`` as a sign test per coefficient and a power per term."""
+    sign = 1 if t[0] > 0 else -1
+    return (
+        t[0] != 0
+        and all(c * sign * (-1) ** j >= 0 for j, c in enumerate(t))
+        and charpoly._scaled_value(poly, h, b) * sign <= 0
+        and abs(t[1]) > sum(j * abs(c) * (h - l) ** (j - 1) for j, c in enumerate(t) if j > 1)
+    )
+
+
+def test_isolates_matches_its_reference(corpora):
+    b, verdicts = 2**64, []
+    cases = [([1, -1, 0], 0.0)]  # l = 0 is a root: t_0 = 0
+    for coeffs, _ in corpora:
+        if len(coeffs) > 1 and all(type(c) is int for c in coeffs):
+            cases.append((coeffs, charpoly._root_estimate(coeffs)))
+    for coeffs, x in cases:
+        if x is None:
+            continue
+        for delta in (0.0, 1e-9, 1e-4, 0.3, 3.0):
+            width = delta * (1 + abs(x))
+            l, h = math.floor((x - width) * b), math.ceil((x + width) * b)
+            t = charpoly._taylor_shift(coeffs, l, b)
+            verdict = charpoly._isolates(coeffs, t, l, h, b)
+            assert verdict == _ref_isolates(coeffs, t, l, h, b), (coeffs, l, h)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_bracket_engages_on_random_graphs(monkeypatch):

@@ -20,7 +20,7 @@ from qminlab import (
     structure_report,
 )
 from qminlab.families import PendantProfile
-from qminlab.graphs import girth
+from qminlab.graphs import StructureReport, _bits, girth, is_connected, two_coloring
 
 
 def random_graph(rng, n, p=0.5):
@@ -116,6 +116,62 @@ def test_vertex_arguments_take_numpy_integers_and_refuse_bools():
             c5.has_edge(bad, 2)
 
 
+def test_graph_refuses_rows_that_are_not_iterable():
+    with pytest.raises(InvalidParameterError, match="neighbor masks must be iterable"):
+        Graph(2, 3)
+
+
+def test_graph_refuses_missing_rows():
+    with pytest.raises(InvalidParameterError, match="neighbor masks must be iterable"):
+        Graph(2, None)
+
+
+def _reference_fault(n, nbr):
+    """The message the mask check of ``Graph`` gave before it counted bits:
+    the first fault met walking every bit of every row, or None."""
+    full = (1 << n) - 1
+    for v, m in enumerate(nbr):
+        if m & ~full:
+            return f"neighbor mask of {v} out of range"
+        if (m >> v) & 1:
+            return f"self-loop at vertex {v}"
+        for u in _bits(m):
+            if not (nbr[u] >> v) & 1:
+                return f"asymmetric adjacency at ({v},{u})"
+    return None
+
+
+def _fault(n, nbr):
+    try:
+        Graph(n, nbr)
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+def test_mask_check_matches_reference_on_every_small_matrix():
+    faults = set()
+    for n in range(1, 5):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            expected = _reference_fault(n, rows)
+            assert _fault(n, rows) == expected, (n, rows)
+            faults.add(expected and expected.split(" ")[0])
+    assert faults == {None, "self-loop", "asymmetric"}
+
+
+def test_mask_check_matches_reference_on_random_masks():
+    rng = random.Random(29)
+    for _ in range(1500):
+        n = rng.randint(1, 62)
+        rows = list(random_graph(rng, n, rng.choice((0.05, 0.5, 0.95))).nbr)
+        for _ in range(rng.choice((0, 0, 1, 2))):  # flip a bit: some fault, or none
+            v = rng.randrange(n)
+            rows[v] ^= 1 << rng.choice((rng.randrange(n), v, rng.randrange(n + 3)))
+        if rng.random() < 0.05:
+            rows[rng.randrange(n)] *= -1
+        assert _fault(n, tuple(rows)) == _reference_fault(n, rows), (n, rows)
+
+
 # -- coalescence and pendants -------------------------------------------------
 
 
@@ -201,6 +257,69 @@ def test_bipartite_witness_is_proper():
             assert rep.odd_girth is None
         else:
             assert rep.odd_girth is not None and rep.odd_girth % 2 == 1
+
+
+def _reference_report(g):
+    """structure_report as three passes: connectivity, a 2-coloring, and a
+    layered BFS from every root for (girth, odd girth) with no early stop."""
+    absent = g.n + 1
+    best = odd = absent
+    for root in range(g.n):
+        seen = frontier = 1 << root
+        depth = 0
+        while frontier and 2 * depth + 1 < odd:
+            if any(g.nbr[v] & frontier for v in _bits(frontier)):
+                odd = 2 * depth + 1
+                best = min(best, odd)
+                break
+            once = twice = 0
+            for v in _bits(frontier):
+                step = g.nbr[v] & ~seen
+                twice |= once & step
+                once |= step
+            if twice:
+                best = min(best, 2 * depth + 2)
+            seen |= once
+            frontier = once
+            depth += 1
+    degs = g.degrees()
+    return StructureReport(
+        connected=is_connected(g),
+        bipartite=two_coloring(g),
+        girth=best if best < absent else None,
+        odd_girth=odd if odd < absent else None,
+        pendant_count=sum(1 for d in degs if d == 1),
+        min_degree=min(degs),
+        degrees=degs,
+    )
+
+
+def _disjoint_union(g, h):
+    return Graph(g.n + h.n, g.nbr + tuple(m << g.n for m in h.nbr))
+
+
+def test_report_matches_three_pass_reference():
+    rng = random.Random(31)
+    graphs = [path_graph(1), Graph(2, (0, 0)), complete_graph(4), cycle_graph(9)]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        graphs.append(random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8))))
+        # a forest: each vertex joined to at most one earlier vertex
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        graphs.append(Graph.from_edges(n, edges))
+        # bipartite: edges only across a random split
+        side = [rng.random() < 0.5 for _ in range(n)]
+        edges = itertools.combinations(range(n), 2)
+        graphs.append(Graph.from_edges(
+            n, [(u, v) for u, v in edges if side[u] != side[v] and rng.random() < 0.5]
+        ))
+        graphs.append(_disjoint_union(graphs[-3], graphs[-1]))
+    reports = [_reference_report(g) for g in graphs]
+    assert any(not r.connected for r in reports) and any(r.girth is None for r in reports)
+    assert any(r.bipartite is not None and r.girth for r in reports)
+    assert any(r.odd_girth and r.odd_girth > 3 for r in reports)
+    for g, expected in zip(graphs, reports):
+        assert structure_report(g) == expected, g
 
 
 def oracle_girth(g, odd_only=False):

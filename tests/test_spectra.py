@@ -190,6 +190,18 @@ def test_qmin_sign_normalization():
         assert vec[lead] > 0
 
 
+def test_qmin_is_the_checked_eigensolve_bit_for_bit():
+    # q_min_of calls eigh itself and skips eig_sym's checks and residual bound
+    rng = random.Random(37)
+    graphs = [random_graph(rng, rng.randint(1, 12)) for _ in range(300)]
+    graphs += [build_U_std(n, k, g)[0] for n, k, g in ((8, 2, 3), (12, 3, 5), (16, 4, 7))]
+    for g in graphs:
+        spec = eig_sym(q_matrix(g))
+        value, vector, mult = q_min_of(g)
+        ref_value, ref_vector, ref_mult = _least_pair(spec.eigenvalues, spec.eigenvectors)
+        assert (value, mult) == (ref_value, ref_mult) and np.array_equal(vector, ref_vector)
+
+
 GOLDEN = (SQRT5 - 1) / 2
 DMK_HI = math.sqrt(0.5 / (1 + GOLDEN * GOLDEN))
 
