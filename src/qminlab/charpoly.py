@@ -131,7 +131,7 @@ def charpoly_coeffs(m) -> list[int]:
         else:
             a = a.astype(object)
     coeffs = [1]
-    mk, spare = a.copy(), np.empty_like(a)
+    mk, spare = a.copy(), np.empty(a.shape, a.dtype)  # both C-ordered, as out= needs
     diag, spare_diag = mk.reshape(-1)[:: n + 1], spare.reshape(-1)[:: n + 1]
     for k in range(1, n + 1):
         if k > 1:
@@ -274,15 +274,14 @@ def _isolates(poly, t, l: int, h: int, b: int) -> bool:
     other root, from t, the Taylor shift at l/b (see the module docstring)."""
     sign = 1 if t[0] > 0 else -1
     same, other = (t[::2], t[1::2]) if sign > 0 else (t[1::2], t[::2])
+    if t[0] == 0 or min(same) < 0 or max(other) > 0:  # p(L - z) varies in sign
+        return False
+    if _scaled_value(poly, h, b) * sign > 0:
+        return False
     slope = 0  # the sum over j >= 2 of j |t_j| (h - l)^(j-1), by Horner's rule
     for j in range(len(t) - 1, 1, -1):
         slope = (slope + j * abs(t[j])) * (h - l)
-    return (
-        t[0] != 0
-        and min(same) >= 0 and max(other) <= 0  # p(L - z): no sign variation
-        and _scaled_value(poly, h, b) * sign <= 0
-        and abs(t[1]) > slope
-    )
+    return abs(t[1]) > slope
 
 
 def _certified_bracket(poly):

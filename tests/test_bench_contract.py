@@ -40,8 +40,13 @@ def test_every_worker_call_chain_resolves():
         assert hasattr(getattr(qminlab, module_name), attr), (module_name, attr)
 
 
+def _perfbench_files():
+    """Every path under perfbench/ with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None for path in PERFBENCH.rglob("*")}
+
+
 def test_sweeps_collect_no_garbage_inside_their_timed_loops():
-    before = sorted(PERFBENCH.rglob("*"))
+    before = _perfbench_files()
     proc = subprocess.run(
         [sys.executable, str(GC_PROBE), "general-n7", "unicyclic-n8", "--reps", "1"],
         capture_output=True, text=True, timeout=300,
@@ -52,4 +57,4 @@ def test_sweeps_collect_no_garbage_inside_their_timed_loops():
     assert [line.split()[0] for line in lines] == ["general-n7", "unicyclic-n8"], proc.stdout
     for line in lines:
         assert "collections in loop [0, 0, 0]" in line, line
-    assert sorted(PERFBENCH.rglob("*")) == before
+    assert _perfbench_files() == before  # nothing added, removed or rewritten

@@ -439,6 +439,24 @@ def test_int64_path_falls_back_without_changing_coefficients(products):
     assert partway >= 3  # among them K16, which widens at step 12 of 16
 
 
+def test_memory_order_does_not_change_coefficients(products):
+    # a Fortran-ordered copy and the transpose (same polynomial) take the
+    # int64 and object routes of the C-ordered matrix, the fallback included
+    rng = np.random.default_rng(29)
+    asymmetric = [rng.integers(-9, 10, size=(n, n)) for n in (2, 5, 9)]
+    partway = 0
+    for m in [*asymmetric, *_overflowing_matrices()]:
+        expected = _ref_charpoly_coeffs(m)
+        views = [np.asfortranarray(m), m.T]
+        if all(abs(x) < 2**53 for x in m.ravel().tolist()):  # exact as floats
+            views += [np.asfortranarray(m, dtype=float), m.T.astype(float)]
+        for v in views:
+            products.clear()
+            assert charpoly_coeffs(v) == expected, v
+            partway += "int64" in products and "object" in products
+    assert partway >= 6
+
+
 def test_q_matrices_through_order_16_stay_on_int64(products):
     # the speed of the oracle rests on this: a Q-matrix widened to Python
     # ints would give the same coefficients at several times the cost
