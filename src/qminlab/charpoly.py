@@ -42,9 +42,10 @@ below lo, so V is constant there.
 
 Certified bracket.  Laguerre's iteration on p (never the matrix being
 checked) estimates the smallest root x; L = l/b <= x - delta and
-H = h/b >= x + delta, delta = 1e-9 * (1 + |x|), b = 2^64.  The Taylor shift
-t_j, the coefficients of b^n p((l + u)/b) in powers of u, certifies that the
-smallest root r is simple and the one root in (L, H] when: t_0 != 0 and the
+H = h/b >= x + delta, delta = 1e-9 * (1 + |x|), b = 2^40 (a grid step of
+9e-13, far below delta).  The Taylor shift t_j, the coefficients of
+b^n p((l + u)/b) in powers of u, certifies that the smallest root r is
+simple and the one root in (L, H] when: t_0 != 0 and the
 t_j (-1)^j show no sign variation, so no root is <= L (Descartes' rule of
 signs on p(L - z)); p(H) is 0 or of the other sign; and |t_1| > sum over
 j >= 2 of j |t_j| (h - l)^(j-1), so p' has no root in [L, H].  A miss (a
@@ -288,7 +289,7 @@ def _certified_bracket(poly):
     """Dyadic L = l/b < H = h/b around the estimate of ``poly``'s smallest
     root, certified by ``_isolates``: (l, h, b, sign at L, the exact Newton
     point from L, rounded), or None; a miss is retried around that point."""
-    x, b = _root_estimate(poly), 2**64  # b: the denominator of L and H
+    x, b = _root_estimate(poly), 2**40  # b: the denominator of L and H
     for _ in range(2 if x is not None else 0):
         delta = 1e-9 * (1 + abs(x))
         try:

@@ -85,20 +85,24 @@ def build_U(params: UParams) -> tuple[Graph, ULandmarks]:
     Indices are deterministic: cycle vertices 0..g-1 (the stem attaches at
     g-1), stem vertices appended next, then the pendant paths in order.
     """
-    g, l = params.g, params.l
+    return _u_graph(params.n, params.g, params.l, params.lengths)
+
+
+def _u_graph(n, g, l, lengths) -> tuple[Graph, ULandmarks]:
+    """``build_U``'s graph and landmarks from parameters already validated."""
     stem = (g - 1,) + tuple(range(g, g + l - 1))
     paths = []
     start = g + l - 1
-    for li in params.lengths:
+    for li in lengths:
         paths.append((stem[-1],) + tuple(range(start, start + li - 1)))
         start += li - 1
-    masks = [0] * params.n
+    masks = [0] * n
     for walk in (tuple(range(g)) + (0,), stem, *paths):
         for a, b in zip(walk, walk[1:]):
             masks[a] |= 1 << b
             masks[b] |= 1 << a
     landmarks = ULandmarks(tuple(range(g)), stem, stem[-1], tuple(paths))
-    return Graph(params.n, tuple(masks)), landmarks
+    return Graph(n, tuple(masks)), landmarks
 
 
 def build_U_std(n: int, k: int, g: int) -> tuple[Graph, ULandmarks]:
@@ -109,7 +113,9 @@ def build_U_std(n: int, k: int, g: int) -> tuple[Graph, ULandmarks]:
         raise InvalidParameterError(
             f"no stem fits: n + k + 1 - g - 2k = {l} < 1 for (n={n}, k={k}, g={g})"
         )
-    return build_U(UParams(n=n, k=k, g=g, l=l, lengths=(2,) * k))
+    if g < 3 or g % 2 == 0 or k < 1:
+        UParams(n=n, k=k, g=g, l=l, lengths=(2,) * k)  # raises build_U's error
+    return _u_graph(n, g, l, (2,) * k)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,22 @@ Eigenvalues and eigenvectors come from LAPACK through ``numpy.linalg``;
 stack passed to ``qmin_stack`` is solved one matrix at a time, each copied
 into its own work buffer, so a matrix's result is bit for bit the same
 whether it is solved alone or in a batch of any size: a search's verdicts do
-not depend on how many representatives it solves at once.  ``q_min_of``
-calls ``eigh`` itself: ``q_matrix(g)`` is symmetric and integral by
-construction, so ``eig_sym``'s checks cannot fail and its residual bound
-would go unused.
+not depend on how many representatives it solves at once.
+
+One solve per graph.  A U-pattern check asks ``q_min_of`` for the first
+eigenvector and then ``patterns.check_U_pattern`` for the same graph's Q and
+least-eigenvalue multiplicity.  Both read ``_solved(g)``, a small memo keyed
+by the immutable ``Graph`` that holds Q(g) and its ``eigh``, so Q is built
+and solved once per check.  ``_solved`` calls ``eigh`` itself: ``q_matrix(g)``
+is symmetric and integral by construction, so ``eig_sym``'s checks cannot
+fail and its residual bound would go unused.  The memo's arrays are
+read-only, since every caller shares them; the vector ``q_min_of`` returns is
+a fresh writable copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,26 +96,39 @@ def q_min_of(
     entry is positive, ties (magnitudes within 1e-8 * max|x| of the largest)
     broken by lowest vertex index.
     """
-    return _least_pair(*np.linalg.eigh(q_matrix(g)), group_tol)
+    _, values, vectors = _solved(g)
+    return _least_pair(values, vectors, group_tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _solved(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q(g), its ascending eigenvalues, their eigenvector columns), all
+    read-only: one solve shared by ``q_min_of`` and ``check_U_pattern``."""
+    q = q_matrix(g)
+    values, vectors = np.linalg.eigh(q)
+    for a in (q, values, vectors):
+        a.flags.writeable = False
+    return q, values, vectors
 
 
 def _least_pair(values, vectors, group_tol=None):
     """``q_min_of``'s (value, vector, multiplicity) from ascending eigenvalues
     and their eigenvector columns; with ``vectors`` None the vector is None."""
-    value = float(values[0])
+    values = values.tolist()
+    value = values[0]
     if group_tol is None:
         group_tol = DEFAULT_GROUP_TOL * (1.0 + abs(value))
     elif not 0 < group_tol < math.inf:
         raise InvalidParameterError(f"group_tol must be finite and positive, got {group_tol}")
-    multiplicity = int((values <= value + group_tol).sum())
+    bound = float(value + group_tol)  # float64 even for a float32 group_tol
+    multiplicity = sum(v <= bound for v in values)
     if vectors is None:
         return value, None, multiplicity
-    vector = vectors[:, 0].copy()
-    mags = np.abs(vector)
-    lead = int((mags >= mags.max() * (1.0 - _LEAD_TIE_TOL)).argmax())
-    if vector[lead] < 0:
-        vector = -vector
-    return value, vector, multiplicity
+    column = vectors[:, 0]
+    entries = column.tolist()
+    top = max(map(abs, entries)) * (1.0 - _LEAD_TIE_TOL)
+    lead = next(i for i, e in enumerate(entries) if abs(e) >= top)
+    return value, -column if entries[lead] < 0 else column.copy(), multiplicity
 
 
 def _check_vertex_vector(g: Graph, x) -> np.ndarray:

@@ -1,6 +1,10 @@
 """The mask-writing builders and the single-graph checks against the
 edge-list code they replaced, kept below as references: the same neighbour
-masks, landmarks, errors and reports, with floats compared by ``repr``."""
+masks, landmarks, errors and reports, with floats compared by ``repr``.  The
+U-pattern check and ``_least_pair`` are pinned the same way to the versions
+that solved Q(g) a second time and scanned numpy arrays."""
+
+import math
 
 import random
 
@@ -14,6 +18,8 @@ from qminlab import (
     UParams,
     build_K,
     build_U,
+    build_U_std,
+    check_U_pattern,
     coalesce,
     complete_graph,
     cycle_graph,
@@ -23,9 +29,20 @@ from qminlab import (
     majorization_scan,
     path_graph,
     q_matrix,
+    q_min_of,
+    rayleigh,
 )
+from qminlab.errors import DegenerateSpectrumError, InvalidParameterError
 from qminlab.families import KLandmarks, ULandmarks
-from qminlab.patterns import MajorizationScan, PatternReport, _profiles
+from qminlab.graphs import _integer
+from qminlab.patterns import (
+    EIGENVECTOR_CHECK_TOL,
+    PATTERN_TOL,
+    MajorizationScan,
+    PatternReport,
+    _profiles,
+    _validate_std_family,
+)
 from qminlab.spectra import _least_pair
 
 
@@ -174,6 +191,102 @@ def _ref_majorization_scan(length, total, margin=1e-8):
     )
 
 
+def _ref_build_U_std(n, k, g):
+    n, k, g = _integer(n, "n"), _integer(k, "k"), _integer(g, "g")
+    l = n + k + 1 - g - 2 * k
+    if l < 1:
+        raise InvalidParameterError(
+            f"no stem fits: n + k + 1 - g - 2k = {l} < 1 for (n={n}, k={k}, g={g})"
+        )
+    return build_U(UParams(n=n, k=k, g=g, l=l, lengths=(2,) * k))
+
+
+def _ref_least_pair(values, vectors, group_tol=None):
+    value = float(values[0])
+    if group_tol is None:
+        group_tol = 1e-8 * (1.0 + abs(value))
+    elif not 0 < group_tol < math.inf:
+        raise InvalidParameterError(f"group_tol must be finite and positive, got {group_tol}")
+    multiplicity = int((values <= value + group_tol).sum())
+    if vectors is None:
+        return value, None, multiplicity
+    vector = vectors[:, 0].copy()
+    mags = np.abs(vector)
+    lead = int((mags >= mags.max() * (1.0 - 1e-8)).argmax())
+    if vector[lead] < 0:
+        vector = -vector
+    return value, vector, multiplicity
+
+
+def _ref_check_U_pattern(g, lm, x, tol=PATTERN_TOL):
+    if not math.isfinite(tol):
+        raise InvalidParameterError(f"tol must be finite, got {tol}")
+    _validate_std_family(g, lm)
+    q = q_matrix(g)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (g.n,):
+        raise InvalidParameterError(f"vector shape {x.shape} != ({g.n},)")
+    norm = math.sqrt(x.dot(x))
+    if norm == 0:
+        raise InvalidParameterError("zero vector is not an eigenvector")
+    x = x / norm
+    if float(np.abs(rayleigh(g, x) * x - q @ x).max()) > EIGENVECTOR_CHECK_TOL:
+        raise InvalidParameterError("vector does not satisfy the eigen-equation")
+    x = x.tolist()
+    _, _, mult = _ref_least_pair(np.linalg.eigvalsh(q), None)
+    if mult != 1:
+        raise DegenerateSpectrumError(f"least eigenvalue has multiplicity {mult}; pattern needs 1")
+    cyc = lm.cycle
+    half = (len(cyc) - 1) // 2
+    bad = []
+    for i in range(1, half + 1):
+        a, b = cyc[i - 1], cyc[len(cyc) - i - 1]
+        if abs(x[a] - x[b]) > tol:
+            bad.append(("mirror", (a, b), (x[a], x[b])))
+    special = tuple(sorted((cyc[half - 1], cyc[half])))
+    if not x[special[0]] * x[special[1]] > tol:
+        bad.append(("special-edge", special, (x[special[0]], x[special[1]])))
+    for u, v in g.edges():
+        if (u, v) != special and not x[u] * x[v] < -tol:
+            bad.append(("alternation", (u, v), (x[u], x[v])))
+    chain = [cyc[-1]] + [cyc[i] for i in range(half)]
+    for a, b in zip(chain, chain[1:]):
+        if not abs(x[a]) > abs(x[b]) + tol:
+            bad.append(("cycle-decay", (a, b), (x[a], x[b])))
+    if not abs(x[chain[-1]]) > tol:
+        bad.append(("cycle-decay", chain[-1], (x[chain[-1]],)))
+    for p in range(g.n):
+        if abs(x[p]) <= tol:
+            bad.append(("nonzero-entries", p, (x[p],)))
+    return PatternReport.from_violations(bad)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, floats as their repr, or the type and
+    message of what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, PatternReport):
+        result = result.passed, result.violations
+    return _canon(result)
+
+
+def _pair_bytes(pair):
+    value, vector, multiplicity = pair
+    assert type(value) is float and type(multiplicity) is int
+    return repr(value), None if vector is None else vector.tobytes(), multiplicity
+
+
+def _std_cells(max_order):
+    """(n, k, g) of every standard family member of order <= max_order."""
+    for n in range(3, max_order + 1):
+        for g in range(3, n + 1, 2):
+            for k in range(1, n - g + 1):
+                yield n, k, g
+
+
 def _canon(obj):
     """``obj`` with every float, numpy's included, replaced by its repr."""
     if isinstance(obj, (float, np.floating)):
@@ -227,6 +340,22 @@ def test_coalesce_matches_edge_list_reference():
 def test_complete_graph_matches_edge_list_reference():
     for n in range(1, 63):
         assert complete_graph(n).nbr == _ref_complete_graph(n).nbr
+
+
+def test_build_u_std_matches_validated_reference():
+    # the standard member skips UParams' second validation on valid input
+    cases = [(n, k, g) for n in range(-1, 21) for k in range(-1, 8) for g in range(-1, 20)]
+    cases += [
+        (True, 1, 3), (7, False, 3), (7, 1, True), (7.0, 1, 3), (7, 1.0, 3), (7, 1, 3.0),
+        (np.int64(9), np.int32(2), np.uint8(5)), (np.int16(7), 0, 3), ("7", 1, 3),
+        (7, 1, None), (np.float64(7), 1, 3), (np.bool_(True), 1, 3),
+    ]
+    built = 0
+    for case in cases:
+        outcome = _outcome(build_U_std, *case)
+        assert outcome == _outcome(_ref_build_U_std, *case), case
+        built += outcome[0] is not InvalidParameterError
+    assert built == 401  # the grid's 400 family members and the numpy-int case
 
 
 def test_graph6_round_trip_every_order():
@@ -327,6 +456,10 @@ def test_builders_validate_one_graph_and_checks_none(monkeypatch):
         built.clear()
         build_U(params)
         assert len(built) == 1
+    for cell in ((4, 1, 3), (16, 4, 5)):
+        built.clear()
+        build_U_std(*cell)
+        assert len(built) == 1
     for nu in _profiles(5, 6):
         built.clear()
         build_K(PendantProfile(nu))
@@ -335,3 +468,45 @@ def test_builders_validate_one_graph_and_checks_none(monkeypatch):
     majorization_scan(4, 6)
     interlacing_check(k4, (2, 3))
     assert built == []
+
+
+def test_u_pattern_matches_reference_on_every_standard_member():
+    # x, its negative, the second eigenvector and a perturbed x on each cell
+    rows = 0
+    for n, k, g in _std_cells(16):
+        graph, lm = build_U_std(n, k, g)
+        _, x, _ = q_min_of(graph)
+        second = np.linalg.eigh(q_matrix(graph))[1][:, 1]
+        for vector in (x, -x, second, x + 1e-7):
+            got = _outcome(check_U_pattern, graph, lm, vector)
+            assert got == _outcome(_ref_check_U_pattern, graph, lm, vector), (n, k, g)
+            rows += 1
+    assert rows == 4 * 252
+
+
+def _tied_columns(rng, n):
+    """An (n, 2) array whose first column has several entries tied in
+    magnitude with its largest, within and outside the sign-lead tolerance."""
+    top = rng.uniform(0.2, 1.0)
+    col = [rng.uniform(-top, top) for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(1, n)):
+        col[i] = rng.choice((-1, 1)) * top * (1 - rng.choice((0.0, 1e-12, 5e-9, 1e-8, 2e-8)))
+    return np.array([col, [rng.random() for _ in range(n)]]).T
+
+
+def test_least_pair_matches_reference_bit_for_bit():
+    spectra = [np.linalg.eigh(q_matrix(build_U_std(*cell)[0])) for cell in _std_cells(16)]
+    rng = random.Random(25)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        base = rng.uniform(-2, 2)
+        values = np.sort([base + rng.choice((0.0, 1e-12, 1e-9, 1e-8, 1e-6, 0.5)) for _ in range(n)])
+        spectra.append((values, _tied_columns(rng, n)))
+    tols = (None, 1e-12, 1e-8, 1e-6, 0.05, 1, 3.0, np.float32(0.1), np.float64(1e-9))
+    for values, vectors in spectra:
+        for group_tol in tols:
+            for columns in (vectors, None):
+                got = _pair_bytes(_least_pair(values, columns, group_tol))
+                assert got == _pair_bytes(_ref_least_pair(values, columns, group_tol))
+    for bad in (0, -1e-9, math.inf, math.nan):
+        assert _outcome(_least_pair, *spectra[0], bad) == _outcome(_ref_least_pair, *spectra[0], bad)

@@ -33,6 +33,7 @@ from qminlab import (
 )
 from qminlab import search
 from qminlab.search import ClassQuery
+from qminlab.spectra import _solved
 
 from labeled_oracle import enumerate_class
 
@@ -327,18 +328,23 @@ def test_u_pattern_rejects_non_eigenvector():
 
 def test_u_pattern_refuses_a_multiple_least_eigenvalue(monkeypatch):
     # the family's least eigenvalue is simple, so fake a tie with the next one
+    # in the shared solve the check reads; the faked solve leaves the memo
     g, lm = build_U_std(7, 1, 3)
     _, x, _ = q_min_of(g)
-    eigvalsh = np.linalg.eigvalsh
+    eigh = np.linalg.eigh
 
     def tied(m):
-        values = eigvalsh(m)
+        values, vectors = eigh(m)
         values[1] = values[0]
-        return values
+        return values, vectors
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", tied)
-    with pytest.raises(DegenerateSpectrumError, match="multiplicity 2; pattern needs 1"):
-        check_U_pattern(g, lm, x)
+    monkeypatch.setattr(np.linalg, "eigh", tied)
+    _solved.cache_clear()
+    try:
+        with pytest.raises(DegenerateSpectrumError, match="multiplicity 2; pattern needs 1"):
+            check_U_pattern(g, lm, x)
+    finally:
+        _solved.cache_clear()
 
 
 def test_u_pattern_grid_subset():

@@ -12,6 +12,7 @@ from qminlab import (
     PendantProfile,
     build_K,
     build_U_std,
+    check_U_pattern,
     complete_graph,
     cycle_graph,
     decode_graph6,
@@ -26,7 +27,7 @@ from qminlab import (
 )
 from qminlab.charpoly import charpoly_oracle
 from qminlab.search import ClassQuery
-from qminlab.spectra import _least_pair
+from qminlab.spectra import _least_pair, _solved
 
 from labeled_oracle import LabeledQuery, enumerate_class
 
@@ -200,6 +201,53 @@ def test_qmin_is_the_checked_eigensolve_bit_for_bit():
         value, vector, mult = q_min_of(g)
         ref_value, ref_vector, ref_mult = _least_pair(spec.eigenvalues, spec.eigenvectors)
         assert (value, mult) == (ref_value, ref_mult) and np.array_equal(vector, ref_vector)
+
+
+def test_a_pattern_check_solves_q_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(m):
+        calls.append("eigh")
+        return eigh(m)
+
+    def refuse(m):
+        raise AssertionError("the pattern check solved Q(g) a second time")
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    _solved.cache_clear()
+    g, lm = build_U_std(11, 2, 5)
+    _, x, _ = q_min_of(g)
+    assert check_U_pattern(g, lm, x).passed
+    assert calls == ["eigh"]
+
+
+def test_shared_solve_is_read_only_and_q_min_of_copies_it():
+    g, _ = build_U_std(9, 2, 3)
+    value, vector, mult = q_min_of(g)
+    q, values, vectors = _solved(g)
+    assert np.array_equal(q, q_matrix(g))
+    for a in (q, values, vectors):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert vector.flags.writeable and vector.flags.owndata
+    kept = vector.copy()
+    vector[:] = 7.0
+    again = q_min_of(g)
+    assert again[0] == value and again[2] == mult
+    assert np.array_equal(again[1], kept)
+
+
+def test_an_equal_graph_built_separately_hits_the_memo():
+    g, _ = build_U_std(10, 3, 3)
+    twin = Graph(g.n, tuple(int(m) for m in g.nbr))
+    assert twin is not g and twin == g
+    first = _solved(g)
+    hits = _solved.cache_info().hits
+    assert _solved(twin) is first
+    assert _solved.cache_info().hits == hits + 1
 
 
 GOLDEN = (SQRT5 - 1) / 2
