@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
+from .graphs import _integer
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -31,6 +32,7 @@ def _require(cond: bool, msg: str) -> None:
 
 def bound_pendant(n: int, k: int) -> float:
     """Upper bound on the least Q-eigenvalue from k pendant vertices."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     _require(k >= 1, f"need k >= 1, got {k}")
     _require(n - k >= 3, f"need n - k >= 3, got n={n}, k={k}")
     c = n - k
@@ -39,6 +41,7 @@ def bound_pendant(n: int, k: int) -> float:
 
 def bound_pendant_general(n: int) -> float:
     """The k-free pendant bound; algebraically equal to bound_pendant(n, 1)."""
+    n = _integer(n, "n")
     _require(n >= 4, f"need n >= 4, got {n}")
     return (
         n - 1 + 1 / (n - 1) - math.sqrt(n * n - 6 * n + 11 + 1 / (n - 1) ** 2)
@@ -48,6 +51,7 @@ def bound_pendant_general(n: int) -> float:
 def bound_submatrix(n: int, k: int) -> float:
     """Least eigenvalue of the star-center principal block with
     t = ceil(k/(n-k)) pendants; at most bound_pendant(n, k)."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     _require(k >= 1, f"need k >= 1, got {k}")
     _require(n - k >= 3, f"need n - k >= 3, got n={n}, k={k}")
     c = n - k
@@ -57,6 +61,7 @@ def bound_submatrix(n: int, k: int) -> float:
 
 def bound_lima(n: int, delta: int) -> float:
     """Minimum-degree upper bound; always strictly below delta itself."""
+    n, delta = _integer(n, "n"), _integer(delta, "delta")
     _require(n >= 2, f"need n >= 2, got {n}")
     _require(1 <= delta <= n - 1, f"need 1 <= delta <= n-1, got {delta}")
     value = (n - 1 + delta - math.sqrt((n - 1 - delta) ** 2 + 4)) / 2
@@ -86,6 +91,7 @@ def compare_bounds(ns) -> list[BoundRow]:
     """Tabulate the k-free bounds for each order in ``ns``."""
     rows = []
     for n in ns:
+        n = _integer(n, "n")
         _require(n >= 4, f"comparison needs n >= 4, got {n}")
         rows.append(
             BoundRow(

@@ -2,10 +2,11 @@
 
 This is the independent cross-check for the LAPACK eigensolver: integer
 matrices get exact integer coefficients of det(lambda I - M) through the
-Faddeev-LeVerrier recurrence, and the smallest real root is bisected to
-1e-12 width from the Cauchy bound.  Each step asks whether (lo, mid] holds a
-root and keeps the lower half if it does.  Every answer is exact, so the
-bisection points, and the float returned, depend on the polynomial alone.
+Faddeev-LeVerrier recurrence, and the smallest real root is bisected to the
+fixed width ``ROOT_WIDTH`` (1e-12) from the Cauchy bound.  Each step asks
+whether (lo, mid] holds a root and keeps the lower half if it does.  Every
+answer is exact, so the bisection points, and the float returned, depend on
+the polynomial alone.
 
 Int64 coefficients.  With ||A|| the largest row sum of |A| and e >= max|M|,
 every partial sum of an entry of A (M + cI) is at most ||A|| (e + |c|), and
@@ -75,6 +76,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 ROOT_WIDTH = 1e-12
+_WIDTH_NUM, _WIDTH_DEN = ROOT_WIDTH.as_integer_ratio()
 _INT64_SAFE = 2**62  # n * (entry bound) below this: no int64 sum can overflow
 
 
@@ -303,8 +305,8 @@ def _certified_bracket(poly):
     return None
 
 
-def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
-    """Smallest real root of a polynomial with all-real roots, to ``width``.
+def smallest_real_root(coeffs) -> float:
+    """Smallest real root of a polynomial with all-real roots, to ``ROOT_WIDTH``.
 
     Bisects toward the leftmost root from the Cauchy bound: a step keeps the
     lower half when (lo, mid] holds a root.  With a certified bracket the
@@ -312,12 +314,8 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     exact Newton point, each probe decided by comparison with the bracket's
     ends or by one sign of the certified polynomial; without one, every step
     counts Sturm-chain sign changes.  Both give the same float (see the
-    module docstring).  Coefficients may be integers, rationals or floats;
-    ``width`` must be finite and positive.
+    module docstring).  Coefficients may be integers, rationals or floats.
     """
-    if not (math.isfinite(width) and width > 0):
-        raise InvalidParameterError(f"width must be finite and positive, got {width!r}")
-    width_num, width_den = _ratio(width)
     if all(type(c) is int for c in coeffs):  # already integers: scale 1
         p = _poly_trim(list(coeffs))
     else:
@@ -343,7 +341,7 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
         v_lo = sum(s != t for s, t in zip(signs, signs[1:]))
         if v_lo - _sign_changes(chain, hi, den) == 0:
             raise InvalidParameterError("polynomial has no real roots in the Cauchy bound")
-        while (hi - lo) * width_den > width_num * den:
+        while (hi - lo) * _WIDTH_DEN > _WIDTH_NUM * den:
             mid = lo + hi
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
             if v_lo - _sign_changes(chain, mid, den) >= 1:
@@ -354,7 +352,7 @@ def smallest_real_root(coeffs, width: float = ROOT_WIDTH) -> float:
     # the final grid: the fewest halvings that reach the width leave cells of
     # numerator ``cell`` over ``den``, y_i = lo + i * cell; find the one holding r
     l_num, h_num, b, sign_at_low, (x_num, x_den) = bracket
-    halvings = (-(-(hi - lo) * width_den // (width_num * den)) - 1).bit_length()
+    halvings = (-(-(hi - lo) * _WIDTH_DEN // (_WIDTH_NUM * den)) - 1).bit_length()
     lo, den, cell = lo << halvings, den << halvings, hi - lo
     lo_i, hi_i = 0, 1 << halvings  # r > y_0 and r <= y_(2^halvings)
     t = (x_num * den - lo * x_den) // (cell * x_den) + 1  # right end of x's cell

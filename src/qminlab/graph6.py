@@ -50,7 +50,12 @@ def encode_graph6(g: Graph) -> bytes:
 def decode_graph6(data) -> Graph:
     """Decode a graph6 byte (or ASCII) string; inverse of :func:`encode_graph6`."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError("non-ASCII character in graph6 input", offset=exc.start) from None
+    elif not isinstance(data, (bytes, bytearray)):
+        raise InvalidParameterError(f"graph6 input must be bytes or str, got {data!r}")
     data = data.strip()
     if not data:
         raise ParseError("empty graph6 input", offset=0)

@@ -176,6 +176,7 @@ class Graph:
 
 def cycle_graph(n: int) -> Graph:
     """The cycle on n >= 3 vertices with edges {i, (i+1) mod n}."""
+    n = _integer(n, "graph order")
     if n < 3:
         raise InvalidParameterError(f"a cycle needs at least 3 vertices, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -183,6 +184,7 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """The path on n >= 1 vertices; n = 1 is the trivial graph."""
+    n = _integer(n, "graph order")
     if n < 1:
         raise InvalidParameterError(f"a path needs at least 1 vertex, got {n}")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -216,7 +218,7 @@ def coalesce(g1: Graph, v: int, g2: Graph, u: int) -> Graph:
 
 def attach_pendants(g: Graph, v: int, m: int) -> Graph:
     """Attach ``m`` new degree-1 vertices to ``v``."""
-    g._check_vertex(v)
+    v, m = g._check_vertex(v), _integer(m, "pendant count")
     if m < 0:
         raise InvalidParameterError(f"pendant count must be >= 0, got {m}")
     edges = g.edges() + [(v, g.n + i) for i in range(m)]

@@ -10,6 +10,12 @@ listing every violated assertion instead of failing fast:
   (``interlacing_check``), moving a branch between two attachment vertices
   (``relocation_experiment``) and unit transfers between pendant profiles
   (``majorization_scan``); ``alpha`` is the unicyclic class minimum.
+
+The tolerances are module constants, not arguments.  ``PATTERN_TOL`` (1e-8)
+is the margin of every strict inequality, and scaled by max|x| the level at
+or below which an entry of x counts as zero; growth along a tree branch is
+strict, with no margin.  ``EIGENVECTOR_CHECK_TOL`` (1e-6) bounds the residual
+of a supplied eigenvector.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityExceededError, DegenerateSpectrumError, InvalidParameterError
 from .families import ULandmarks, build_U_std
-from .graphs import Graph, _bits, _reach_mask, coalesce, is_connected, two_coloring
+from .graphs import Graph, _bits, _integer, _reach_mask, coalesce, is_connected, two_coloring
 from .spectra import _least_pair, _solved, q_matrix, q_min_of
 
 #: Residual allowance when validating that a supplied vector is an eigenvector.
@@ -103,9 +109,7 @@ def _validate_branch(g: Graph, b: BranchSpec) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges() if u in b.members and v in b.members]
 
 
-def check_bipartite_branch(
-    g: Graph, x, b: BranchSpec, zero_tol: float | None = None
-) -> PatternReport:
+def check_bipartite_branch(g: Graph, x, b: BranchSpec) -> PatternReport:
     """Zero/nonzero dichotomy of a bipartite branch under a first eigenvector.
 
     Root value (numerically) zero: the whole branch must vanish.  Root value
@@ -113,17 +117,14 @@ def check_bipartite_branch(
     2-coloring relative to the root, and values alternate in sign across
     every branch edge.
     """
-    if zero_tol is not None and not math.isfinite(zero_tol):
-        raise InvalidParameterError(f"zero_tol must be finite, got {zero_tol}")
-    x = _normalized_eigenvector(g, x, q_matrix(g))
+    x = _normalized_eigenvector(g, x, _solved(g)[0])
     edges = _validate_branch(g, b)
     coloring = two_coloring(Graph.from_edges(g.n, edges))
     if coloring is None:
         raise InvalidParameterError("branch is not bipartite")
     # each vertex's side relative to the root's: 0 is the root's side
     part = [side ^ coloring.part[b.root] for side in coloring.part]
-    if zero_tol is None:
-        zero_tol = PATTERN_TOL * float(np.abs(x).max())
+    zero_tol = PATTERN_TOL * float(np.abs(x).max())
     bad = []
     if abs(x[b.root]) <= zero_tol:
         for p in sorted(b.members):
@@ -142,13 +143,9 @@ def check_bipartite_branch(
     return PatternReport.from_violations(bad)
 
 
-def check_tree_monotone(
-    g: Graph, x, b: BranchSpec, margin: float = 0.0
-) -> PatternReport:
+def check_tree_monotone(g: Graph, x, b: BranchSpec) -> PatternReport:
     """Strict growth of |x| along every root-to-leaf path of a tree branch."""
-    if not math.isfinite(margin):
-        raise InvalidParameterError(f"margin must be finite, got {margin}")
-    x = _normalized_eigenvector(g, x, q_matrix(g))
+    x = _normalized_eigenvector(g, x, _solved(g)[0])
     branch_edges = _validate_branch(g, b)
     if len(branch_edges) != len(b.members) - 1:
         raise InvalidParameterError("branch is not a tree")
@@ -166,7 +163,7 @@ def check_tree_monotone(
             if w in b.members and w not in seen:
                 seen.add(w)
                 queue.append(w)
-                if not abs(x[w]) > abs(x[p]) + margin:
+                if not abs(x[w]) > abs(x[p]):
                     bad.append(("monotone", (p, w), (float(x[p]), float(x[w]))))
     return PatternReport.from_violations(bad)
 
@@ -199,12 +196,7 @@ def _validate_std_family(g: Graph, lm: ULandmarks) -> None:
         raise InvalidParameterError("landmarks do not cover the graph exactly")
 
 
-def check_U_pattern(
-    g: Graph,
-    lm: ULandmarks,
-    x,
-    tol: float = PATTERN_TOL,
-) -> PatternReport:
+def check_U_pattern(g: Graph, lm: ULandmarks, x) -> PatternReport:
     """All structural assertions for a first eigenvector of the standard
     cycle-stem-broom family.
 
@@ -212,12 +204,10 @@ def check_U_pattern(
     symmetry x(v_i) = x(v_{g-i}); (2) the single positive-product edge is
     v_h v_{h+1} and every other edge of the graph alternates in sign;
     (3) strict magnitude decay |x(v_g)| > |x(v_1)| > ... > |x(v_h)| > 0;
-    plus no entry of x within ``tol`` of zero.
+    plus no entry of x within ``PATTERN_TOL`` of zero.
 
     Raises DegenerateSpectrumError when the least eigenvalue is not simple.
     """
-    if not math.isfinite(tol):
-        raise InvalidParameterError(f"tol must be finite, got {tol}")
     _validate_std_family(g, lm)
     q, values, _ = _solved(g)
     x = _normalized_eigenvector(g, x, q).tolist()
@@ -233,29 +223,29 @@ def check_U_pattern(
     # (1) mirror symmetry across the cycle
     for i in range(1, half + 1):
         a, b = cyc[i - 1], cyc[gg - i - 1]
-        if abs(x[a] - x[b]) > tol:
+        if abs(x[a] - x[b]) > PATTERN_TOL:
             bad.append(("mirror", (a, b), (float(x[a]), float(x[b]))))
     # (2) sign pattern: one positive-product edge, all others alternate
     special = tuple(sorted((cyc[half - 1], cyc[half])))
-    if not x[special[0]] * x[special[1]] > tol:
+    if not x[special[0]] * x[special[1]] > PATTERN_TOL:
         bad.append(
             ("special-edge", special, (float(x[special[0]]), float(x[special[1]])))
         )
     for u, v in g.edges():
         if (u, v) == special:
             continue
-        if not x[u] * x[v] < -tol:
+        if not x[u] * x[v] < -PATTERN_TOL:
             bad.append(("alternation", (u, v), (float(x[u]), float(x[v]))))
     # (3) strict magnitude decay from v_g around to the cycle's midpoint
     chain = [cyc[-1]] + [cyc[i] for i in range(half)]
     for a, b in zip(chain, chain[1:]):
-        if not abs(x[a]) > abs(x[b]) + tol:
+        if not abs(x[a]) > abs(x[b]) + PATTERN_TOL:
             bad.append(("cycle-decay", (a, b), (float(x[a]), float(x[b]))))
-    if not abs(x[chain[-1]]) > tol:
+    if not abs(x[chain[-1]]) > PATTERN_TOL:
         bad.append(("cycle-decay", chain[-1], (float(x[chain[-1]]),)))
     # no zero entries anywhere
     for p in range(g.n):
-        if abs(x[p]) <= tol:
+        if abs(x[p]) <= PATTERN_TOL:
             bad.append(("nonzero-entries", p, (float(x[p]),)))
     return PatternReport.from_violations(bad)
 
@@ -267,13 +257,14 @@ def alpha(n: int, k: int, g: int) -> float:
     return q_min_of(graph)[0]
 
 
-def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> PatternReport:
+def interlacing_check(g: Graph, e: tuple[int, int]) -> PatternReport:
     """Edge-deletion interlacing: with spectra ascending, every eigenvalue of
     G-e is at most its counterpart in G, which is at most the next one up in
     G-e."""
-    if not math.isfinite(tol):
-        raise InvalidParameterError(f"tol must be finite, got {tol}")
-    u, v = e
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"an edge is a pair of vertices, got {e!r}") from None
     if not g.has_edge(u, v):
         raise InvalidParameterError(f"({u},{v}) is not an edge")
     pair = np.repeat(q_matrix(g)[None], 2, axis=0)
@@ -284,9 +275,9 @@ def interlacing_check(g: Graph, e: tuple[int, int], tol: float = 1e-8) -> Patter
     a, b = np.linalg.eigvalsh(pair).tolist()
     bad = []
     for i in range(g.n):
-        if not a[i] <= b[i] + tol:
+        if not a[i] <= b[i] + PATTERN_TOL:
             bad.append(("deleted-below", i, (float(a[i]), float(b[i]))))
-        if i + 1 < g.n and not b[i] <= a[i + 1] + tol:
+        if i + 1 < g.n and not b[i] <= a[i + 1] + PATTERN_TOL:
             bad.append(("interlace", i, (float(b[i]), float(a[i + 1]))))
     return PatternReport.from_violations(bad)
 
@@ -306,25 +297,15 @@ class RelocationResult:
     report: PatternReport
 
 
-def relocation_experiment(
-    g1: Graph,
-    v1: int,
-    v2: int,
-    g2: Graph,
-    u: int,
-    *,
-    margin: float = 1e-8,
-) -> RelocationResult:
+def relocation_experiment(g1: Graph, v1: int, v2: int, g2: Graph, u: int) -> RelocationResult:
     """Attach ``g2`` (at its vertex ``u``) to ``g1`` at ``v2``, then compare
     against attaching at ``v1`` instead.
 
     With x a first eigenvector of the before-graph: if |x(v1)| >= |x(v2)| and
     g2 is bipartite, the move cannot raise the least eigenvalue (asserted to
-    ``margin``); if additionally g2 is a nontrivial path rooted at an end and
-    g1 is connected non-bipartite, a strictly larger |x(v1)| (or equal and
-    nonzero) forces a strict drop."""
-    if not math.isfinite(margin):
-        raise InvalidParameterError(f"margin must be finite, got {margin}")
+    ``PATTERN_TOL``); if additionally g2 is a nontrivial path rooted at an
+    end and g1 is connected non-bipartite, a strictly larger |x(v1)| (or
+    equal and nonzero) forces a strict drop."""
     v1, v2, u = g1._check_vertex(v1), g1._check_vertex(v2), g2._check_vertex(u)
     if v1 == v2:
         raise InvalidParameterError("attachment vertices must differ")
@@ -348,7 +329,7 @@ def relocation_experiment(
     q_before, x, _ = q_min_of(before)
     q_after = q_min_of(after)[0]
     a1, a2 = abs(float(x[v1])), abs(float(x[v2]))
-    hyp_tol = 1e-8 * float(np.abs(x).max())
+    hyp_tol = PATTERN_TOL * float(np.abs(x).max())
     weak = a1 >= a2 - hyp_tol
     strict = g2_path and g1_nonbip and (a1 > a2 + hyp_tol or (a1 >= a2 - hyp_tol and a1 > hyp_tol))
     # diagnostic for the equality condition: d_{g2}(u) x(u) + sum of x over
@@ -358,9 +339,9 @@ def relocation_experiment(
         float(x[g1.n + w - (w > u)]) for w in g2.neighbors(u)
     )
     bad = []
-    if weak and not q_after <= q_before + margin:
+    if weak and not q_after <= q_before + PATTERN_TOL:
         bad.append(("relocation-weak", (v1, v2), (q_before, q_after)))
-    if strict and not q_before - q_after > margin:
+    if strict and not q_before - q_after > PATTERN_TOL:
         bad.append(("relocation-strict", (v1, v2), (q_before, q_after)))
     return RelocationResult(
         q_before=q_before,
@@ -412,17 +393,14 @@ def _clique_family_q(profiles) -> np.ndarray:
     return q
 
 
-def majorization_scan(
-    length: int, total: int, *, margin: float = 1e-8
-) -> MajorizationScan:
+def majorization_scan(length: int, total: int) -> MajorizationScan:
     """For every profile pair differing by one unit transfer across a gap of
     at least 2, assert that the transfer cannot lower the clique family's
     least eigenvalue; also check, per profile with a simple least eigenvalue,
     that more pendants never means a strictly smaller eigenvector magnitude
     on the clique.  The Q matrices are written straight from the array of
     profiles, with no graph built."""
-    if not math.isfinite(margin):
-        raise InvalidParameterError(f"margin must be finite, got {margin}")
+    length, total = _integer(length, "length"), _integer(total, "sum")
     if length < 3 or total < 1:
         raise InvalidParameterError(
             f"need length >= 3 and sum >= 1, got ({length}, {total})"
@@ -453,13 +431,13 @@ def majorization_scan(
                 seen_mu.add(mu)
                 qm = least[mu][0]
                 rows.append((nu, mu, qn, qm, qm - qn))
-                if not qn <= qm + margin:
+                if not qn <= qm + PATTERN_TOL:
                     bad.append(("majorization", (nu, mu), (qn, qm)))
         if mult == 1:
             for i in range(length):
                 for j in range(length):
                     if nu[i] > nu[j] and not (
-                        abs(vec[i]) >= abs(vec[j]) - margin
+                        abs(vec[i]) >= abs(vec[j]) - PATTERN_TOL
                     ):
                         bad.append(
                             ("clique-magnitude", (nu, i, j), (abs(vec[i]), abs(vec[j])))

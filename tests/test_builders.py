@@ -32,6 +32,7 @@ from qminlab import (
     q_min_of,
     rayleigh,
 )
+from qminlab import patterns
 from qminlab.errors import DegenerateSpectrumError, InvalidParameterError
 from qminlab.families import KLandmarks, ULandmarks
 from qminlab.graphs import _integer
@@ -405,11 +406,12 @@ def test_graph6_errors_match_reference():
 
 
 @pytest.mark.parametrize("margin", [1e-8, -1.0])
-def test_majorization_scan_matches_per_profile_reference(margin):
+def test_majorization_scan_matches_per_profile_reference(margin, monkeypatch):
     # a margin of -1 fails most assertions, so the reports carry their values
+    monkeypatch.setattr(patterns, "PATTERN_TOL", margin)
     for length in range(3, 9):
         for total in range(1, 12 - length):
-            scan = majorization_scan(length, total, margin=margin)
+            scan = majorization_scan(length, total)
             ref = _ref_majorization_scan(length, total, margin=margin)
             assert scan.profiles_checked == ref.profiles_checked
             assert _canon(scan.pairs) == _canon(ref.pairs)
@@ -432,8 +434,9 @@ def test_interlacing_check_matches_reference(monkeypatch):
         if not g.edge_count:
             continue
         u, v = rng.choice(g.edges())
-        tol = rng.choice((1e-8, -1.0))
-        report = interlacing_check(g, (u, v), tol)
+        tol = rng.choice((1e-8, -1.0))  # -1 fails most assertions
+        monkeypatch.setattr(patterns, "PATTERN_TOL", tol)
+        report = interlacing_check(g, (u, v))
         deleted, whole = solved
         assert np.array_equal(deleted, q_matrix(g.without_edge(u, v)))
         assert np.array_equal(whole, q_matrix(g))

@@ -306,12 +306,6 @@ def test_nonzero_scaling_leaves_root_unchanged():
         assert smallest_real_root([Fraction(-c, 7) for c in coeffs]) == root
 
 
-@pytest.mark.parametrize("width", [float("nan"), 0, -1e-3, float("inf")])
-def test_width_must_be_finite_and_positive(width):
-    with pytest.raises(InvalidParameterError):
-        smallest_real_root([1, -3, 2], width=width)
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_input_rejected(bad):
     with pytest.raises(InvalidParameterError):

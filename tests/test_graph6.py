@@ -75,6 +75,9 @@ def test_decode_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         decode_graph6(bytes([66, 30]))  # body byte below 63
     assert err.value.offset == 1
+    with pytest.raises(ParseError) as err:
+        decode_graph6("B\u00e9")  # not a graph6 byte, though "B?" would decode
+    assert err.value.offset == 1
 
 
 def test_decode_rejects_padding_bits():

@@ -11,11 +11,19 @@ from qminlab import (
     Graph,
     InvalidParameterError,
     attach_pendants,
+    bound_lima,
+    bound_pendant,
+    bound_pendant_general,
+    bound_submatrix,
     build_K,
     coalesce,
+    compare_bounds,
     complete_graph,
     cycle_graph,
+    decode_graph6,
+    interlacing_check,
     is_isomorphic,
+    majorization_scan,
     path_graph,
     structure_report,
 )
@@ -124,6 +132,53 @@ def test_graph_refuses_rows_that_are_not_iterable():
 def test_graph_refuses_missing_rows():
     with pytest.raises(InvalidParameterError, match="neighbor masks must be iterable"):
         Graph(2, None)
+
+
+_C5 = cycle_graph(5)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: cycle_graph(5.0), "graph order must be an integer"),
+        (lambda: path_graph(3.0), "graph order must be an integer"),
+        (lambda: attach_pendants(_C5, 0, 2.0), "pendant count must be an integer"),
+        (lambda: attach_pendants(_C5, 0, True), "pendant count must be an integer"),
+        (lambda: majorization_scan(3.0, 2), "length must be an integer"),
+        (lambda: majorization_scan("3", 2), "length must be an integer"),
+        (lambda: majorization_scan(3, np.True_), "sum must be an integer"),
+        (lambda: interlacing_check(_C5, (0,)), "an edge is a pair of vertices"),
+        (lambda: interlacing_check(_C5, 1), "an edge is a pair of vertices"),
+        (lambda: interlacing_check(_C5, (0.0, 1)), "vertex must be an integer"),
+        (lambda: decode_graph6(123), "graph6 input must be bytes or str"),
+        (lambda: bound_pendant(7.5, 2), "n must be an integer"),
+        (lambda: bound_submatrix(10, 6.0), "k must be an integer"),
+        (lambda: bound_pendant_general("9"), "n must be an integer"),
+        (lambda: bound_lima(7, 1.5), "delta must be an integer"),
+        (lambda: compare_bounds([4, 5.0]), "n must be an integer"),
+    ],
+    ids=[
+        "cycle_graph-float",
+        "path_graph-float",
+        "attach_pendants-float",
+        "attach_pendants-bool",
+        "majorization_scan-float",
+        "majorization_scan-str",
+        "majorization_scan-numpy-bool",
+        "interlacing_check-short-edge",
+        "interlacing_check-int-edge",
+        "interlacing_check-float-vertex",
+        "decode_graph6-int",
+        "bound_pendant-float",
+        "bound_submatrix-float",
+        "bound_pendant_general-str",
+        "bound_lima-float",
+        "compare_bounds-float",
+    ],
+)
+def test_public_functions_refuse_a_non_integer_argument(call, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
 
 
 def _reference_fault(n, nbr):

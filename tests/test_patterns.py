@@ -22,16 +22,13 @@ from qminlab import (
     check_U_pattern,
     cycle_graph,
     eig_sym,
-    interlacing_check,
-    majorization_scan,
     path_graph,
     q_matrix,
     q_min_of,
-    relocation_experiment,
     split_branches,
     structure_report,
 )
-from qminlab import search
+from qminlab import patterns, search, spectra
 from qminlab.search import ClassQuery
 from qminlab.spectra import _solved
 
@@ -92,36 +89,31 @@ def test_branches_take_numpy_integer_vertices():
     assert check_tree_monotone(g, x, tree).passed
 
 
-@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize(
-    "check",
-    [
-        "check_bipartite_branch",
-        "check_tree_monotone",
-        "check_U_pattern",
-        "interlacing_check",
-        "majorization_scan",
-        "relocation_experiment",
-    ],
-)
-def test_checks_refuse_a_non_finite_tolerance(check, bound):
-    # an infinite margin let every check pass, and a NaN one made true
-    # properties report violations
-    g, lm = build_U_std(7, 2, 3)
-    _, x, _ = q_min_of(g)
-    tree = split_branches(g, lm.cycle[-1])[1]
-    calls = {
-        "check_bipartite_branch": lambda: check_bipartite_branch(g, x, tree, zero_tol=bound),
-        "check_tree_monotone": lambda: check_tree_monotone(g, x, tree, margin=bound),
-        "check_U_pattern": lambda: check_U_pattern(g, lm, x, tol=bound),
-        "interlacing_check": lambda: interlacing_check(cycle_graph(5), (0, 1), tol=bound),
-        "majorization_scan": lambda: majorization_scan(4, 6, margin=bound),
-        "relocation_experiment": lambda: relocation_experiment(
-            cycle_graph(5), 2, 0, path_graph(3), 0, margin=bound
-        ),
-    }
-    with pytest.raises(InvalidParameterError, match="must be finite"):
-        calls[check]()
+def test_eigenvector_checks_read_the_solve_q_min_of_made(monkeypatch):
+    calls = []
+    build, eigh = spectra.q_matrix, np.linalg.eigh
+
+    def build_spy(g):
+        calls.append(("q_matrix", g))
+        return build(g)
+
+    def eigh_spy(m):
+        calls.append(("eigh", m.shape[0]))
+        return eigh(m)
+
+    monkeypatch.setattr(spectra, "q_matrix", build_spy)
+    monkeypatch.setattr(patterns, "q_matrix", build_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    _solved.cache_clear()
+    for n, k, girth in [(7, 2, 3), (10, 2, 5)]:
+        g, lm = build_U_std(n, k, girth)
+        _, x, _ = q_min_of(g)
+        tree = split_branches(g, lm.cycle[-1])[1]
+        assert check_bipartite_branch(g, x, tree).passed
+        assert check_tree_monotone(g, x, tree).passed
+        assert check_U_pattern(g, lm, x).passed
+        assert calls == [("q_matrix", g), ("eigh", n)]
+        calls.clear()
 
 
 # -- bipartite branch dichotomy ---------------------------------------------------

@@ -43,6 +43,7 @@ from qminlab.graphs import girth, is_connected, odd_girth, two_coloring
 
 import labeled_oracle as labeled
 from labeled_oracle import LabeledQuery, enumerate_class
+from verdict_dump import verdict_lines
 
 
 def brute_force_class_count(n, k, unicyclic_girth=None, require_connected=True):
@@ -617,6 +618,18 @@ def test_sweeps_do_not_import_numpy_ma():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verdicts_match_the_committed_dump():
+    # tests/verdicts.txt is tests/verdict_dump.py's output: 500 searches'
+    # graphs_examined, extremal value and canonical witnesses.  Each value is
+    # printed as its float repr, whose last digits come from the LAPACK that
+    # numpy links against, so the file is tied to the LAPACK build it was
+    # written with (OpenBLAS 0.3.31 through numpy's wheel).  Where another
+    # build fails this test on values alone, regenerate the file from the
+    # parent commit with the script and compare against that instead.
+    expected = (Path(__file__).resolve().parent / "verdicts.txt").read_text().splitlines()
+    assert list(verdict_lines()) == expected
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
