@@ -9,6 +9,11 @@ minimum degree delta:
   principal-submatrix step of the same derivation, with t = ceil(k/(n-k)).
 * ``bound_lima(n, delta)``: the minimum-degree bound from the literature.
 
+Each is the smaller root of a quadratic, computed as the product of the
+roots over the larger root (for ``bound_lima``, roots in x - delta): the
+textbook (A - sqrt(A^2 - 4P)) / 2 cancels as n grows, and at n = 10**9 it
+rounds the delta = 1 bounds up to 1.0.
+
 ``compare_bounds`` tabulates the k-free variants side by side.  It reports
 which is smaller and deliberately asserts no direction between the general
 pendant bound and the delta = 1 bound: evaluated head to head, the delta = 1
@@ -36,16 +41,14 @@ def bound_pendant(n: int, k: int) -> float:
     _require(k >= 1, f"need k >= 1, got {k}")
     _require(n - k >= 3, f"need n - k >= 3, got n={n}, k={k}")
     c = n - k
-    return (c + k / c - math.sqrt((c - 2) ** 2 + 2 * k + k * k / (c * c))) / 2
+    return 2 * (c - 1) / (c + k / c + math.sqrt((c - 2) ** 2 + 2 * k + k * k / (c * c)))
 
 
 def bound_pendant_general(n: int) -> float:
     """The k-free pendant bound; algebraically equal to bound_pendant(n, 1)."""
     n = _integer(n, "n")
     _require(n >= 4, f"need n >= 4, got {n}")
-    return (
-        n - 1 + 1 / (n - 1) - math.sqrt(n * n - 6 * n + 11 + 1 / (n - 1) ** 2)
-    ) / 2
+    return 2 * (n - 2) / (n - 1 + 1 / (n - 1) + math.sqrt(n * n - 6 * n + 11 + 1 / (n - 1) ** 2))
 
 
 def bound_submatrix(n: int, k: int) -> float:
@@ -56,17 +59,17 @@ def bound_submatrix(n: int, k: int) -> float:
     _require(n - k >= 3, f"need n - k >= 3, got n={n}, k={k}")
     c = n - k
     t = -(-k // c)
-    return (c + t - math.sqrt((c + t) ** 2 - 4 * (c - 1))) / 2
+    return 2 * (c - 1) / (c + t + math.sqrt((c + t) ** 2 - 4 * (c - 1)))
 
 
 def bound_lima(n: int, delta: int) -> float:
-    """Minimum-degree upper bound; always strictly below delta itself."""
+    """Minimum-degree upper bound; strictly below delta, though from n of
+    about 10**17 the gap rounds away in floating point."""
     n, delta = _integer(n, "n"), _integer(delta, "delta")
     _require(n >= 2, f"need n >= 2, got {n}")
     _require(1 <= delta <= n - 1, f"need 1 <= delta <= n-1, got {delta}")
-    value = (n - 1 + delta - math.sqrt((n - 1 - delta) ** 2 + 4)) / 2
-    assert value < delta
-    return value
+    s = n - 1 - delta
+    return delta - 2 / (s + math.sqrt(s * s + 4))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,14 @@ Commands: ``spectrum`` (structure + full Q-spectrum of one graph),
 ``family`` (construct a named family member), ``verify`` (exhaustive
 extremal checks), ``scan`` (CSV sweeps: alpha, bounds, majorization).
 
+Each mode of ``family``, ``scan`` and ``verify`` has its own parser that
+declares only the flags the mode reads, so argparse refuses an unread or
+missing flag as a usage error.  The one tolerance flag is ``verify``'s
+``--tie-tol``; the multiplicity window is the library's fixed one.
+
 Exit codes: 0 success/confirmed, 1 refuted, 2 usage, parse, or capacity
-errors.  All tolerances are flags; graph6 is the interchange format and
-plain edge lists are accepted for hand-written inputs.
+errors.  graph6 is the interchange format and plain edge lists are accepted
+for hand-written inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .graph6 import decode_graph6, encode_graph6, parse_edge_list
 from .graphs import Graph, is_isomorphic, structure_report
 from .patterns import alpha, majorization_scan
 from .search import DEFAULT_TIE_TOL, ClassQuery, find_extremal
-from .spectra import DEFAULT_GROUP_TOL, _least_pair, eig_sym, q_matrix, q_min_of
+from .spectra import _least_pair, eig_sym, q_matrix, q_min_of
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -72,7 +77,7 @@ def cmd_spectrum(args) -> int:
     g = _load_graph(args.input)
     rep = structure_report(g)
     spec = eig_sym(q_matrix(g))
-    value, vector, mult = _least_pair(spec.eigenvalues, spec.eigenvectors, args.group_tol)
+    value, vector, mult = _least_pair(spec.eigenvalues, spec.eigenvectors)
     lines = [
         f"order: {g.n}",
         f"edges: {g.edge_count}",
@@ -111,21 +116,15 @@ def _format_landmarks(lm) -> str:
 
 def cmd_family(args) -> int:
     if args.kind == "U":
-        if args.n is None or args.k is None or args.g is None:
-            raise QminlabError("family U needs --n, --k and --g")
-        if args.lengths is not None:
-            lengths = tuple(_parse_int_list(args.lengths))
-            l = args.l
-            if l is None:
-                l = args.n + args.k + 1 - args.g - sum(lengths)
-            graph, lm = build_U(UParams(args.n, args.k, args.g, l, lengths))
+        if args.lengths is None:
+            lengths = (2,) * args.k
         else:
-            graph, lm = build_U_std(args.n, args.k, args.g)
+            lengths = tuple(_parse_int_list(args.lengths))
+        l = args.n + args.k + 1 - args.g - sum(lengths) if args.l is None else args.l
+        graph, lm = build_U(UParams(args.n, args.k, args.g, l, lengths))
     else:
-        if not args.profile:
-            raise QminlabError("family K needs --profile")
         graph, lm = build_K(PendantProfile(tuple(_parse_int_list(args.profile))))
-    value, _, mult = q_min_of(graph, group_tol=args.group_tol)
+    value, _, mult = q_min_of(graph)
     _emit(
         args.output,
         "\n".join(
@@ -141,15 +140,11 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.g is not None and args.theorem != "unicyclic-min":
-        raise QminlabError("--g applies only to unicyclic-min")
     if args.theorem == "min":
         query = ClassQuery(n=args.n, k=args.k)
         expected, _ = build_U_std(args.n, args.k, 3)
         objective, containment = "min", False
     elif args.theorem == "unicyclic-min":
-        if args.g is None:
-            raise QminlabError("unicyclic-min needs --g")
         query = ClassQuery(n=args.n, k=args.k, unicyclic_girth=args.g)
         expected, _ = build_U_std(args.n, args.k, args.g)
         objective, containment = "min", False
@@ -157,7 +152,7 @@ def cmd_verify(args) -> int:
         query = ClassQuery(n=args.n, k=args.k)
         expected, _ = build_K(balanced_profile(args.n, args.k))
         objective, containment = "max", True
-    result = find_extremal(query, objective, args.tie_tol, shards=args.shards)
+    result = find_extremal(query, objective, args.tie_tol)
     matches = [w for w in result.witnesses if is_isomorphic(w, expected)]
     if containment:
         confirmed = bool(matches)
@@ -175,47 +170,43 @@ def cmd_verify(args) -> int:
     return EXIT_OK if confirmed else EXIT_REFUTED
 
 
-def _scan_table(args) -> tuple[list, list, int]:
-    """The header, rows and exit code of a scan, all computed before any
-    output, so a refused scan writes nothing."""
-    if args.what == "alpha":
-        if args.n is None or args.k is None or args.g is None:
-            raise QminlabError("scan alpha needs --n, --k and --g")
-        grid = [_parse_int_list(text) for text in (args.n, args.k, args.g)]
-        rows = []
-        for n, k, g in itertools.product(*grid):
-            if g < 3 or g % 2 == 0 or k < 1 or n + k + 1 - g - 2 * k < 1:
-                print(
-                    f"warning: skipping infeasible (n={n}, k={k}, g={g})",
-                    file=sys.stderr,
-                )
-                continue
-            rows.append([n, k, g, f"{alpha(n, k, g):.12f}"])
-        return ["n", "k", "g", "alpha"], rows, EXIT_OK
-    if args.what == "bounds":
-        if args.n is None:
-            raise QminlabError("scan bounds needs --n")
-        bounds = compare_bounds(_parse_int_list(args.n))
-        if all(r.diff > 0 for r in bounds):
+def _alpha_table(args) -> tuple[list, list, int]:
+    grid = [_parse_int_list(text) for text in (args.n, args.k, args.g)]
+    rows = []
+    for n, k, g in itertools.product(*grid):
+        if g < 3 or g % 2 == 0 or k < 1 or n + k + 1 - g - 2 * k < 1:
             print(
-                "note: the minimum-degree (delta=1) bound is the smaller one "
-                "at every scanned order; the k-free pendant bound never wins.",
+                f"warning: skipping infeasible (n={n}, k={k}, g={g})",
                 file=sys.stderr,
             )
-        header = ["n", "bound_cor44_general", "bound_lima_delta1", "bound_submatrix_k1", "diff"]
-        rows = [
-            [
-                r.n,
-                f"{r.cor_pendant_general:.12f}",
-                f"{r.lima_delta1:.12f}",
-                f"{r.submatrix_k1:.12f}",
-                f"{r.diff:.12f}",
-            ]
-            for r in bounds
+            continue
+        rows.append([n, k, g, f"{alpha(n, k, g):.12f}"])
+    return ["n", "k", "g", "alpha"], rows, EXIT_OK
+
+
+def _bounds_table(args) -> tuple[list, list, int]:
+    bounds = compare_bounds(_parse_int_list(args.n))
+    if all(r.diff > 0 for r in bounds):
+        print(
+            "note: the minimum-degree (delta=1) bound is the smaller one "
+            "at every scanned order; the k-free pendant bound never wins.",
+            file=sys.stderr,
+        )
+    header = ["n", "bound_cor44_general", "bound_lima_delta1", "bound_submatrix_k1", "diff"]
+    rows = [
+        [
+            r.n,
+            f"{r.cor_pendant_general:.12f}",
+            f"{r.lima_delta1:.12f}",
+            f"{r.submatrix_k1:.12f}",
+            f"{r.diff:.12f}",
         ]
-        return header, rows, EXIT_OK
-    if args.len is None or args.sum is None:
-        raise QminlabError("scan majorization needs --len and --sum")
+        for r in bounds
+    ]
+    return header, rows, EXIT_OK
+
+
+def _majorization_table(args) -> tuple[list, list, int]:
     scan = majorization_scan(args.len, args.sum)
     rows = [
         [
@@ -232,7 +223,9 @@ def _scan_table(args) -> tuple[list, list, int]:
 
 
 def cmd_scan(args) -> int:
-    header, rows, code = _scan_table(args)
+    """Write the mode's table as CSV.  The header, rows and exit code are all
+    computed before any output, so a refused scan writes nothing."""
+    header, rows, code = args.table(args)
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header, *rows])
@@ -242,54 +235,59 @@ def cmd_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Abbreviations are off throughout, so a flag that a mode does not read
+    # is never taken for a prefix of one it does.
     parser = argparse.ArgumentParser(
         prog="qminlab",
         description="Least signless-Laplacian eigenvalue toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    output.add_argument("-o", "--output", default=None)
+    tie = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    tie.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL, dest="tie_tol")
 
-    def common(p, group_tol=False):
-        if group_tol:
-            p.add_argument(
-                "--group-tol", type=float, default=DEFAULT_GROUP_TOL, dest="group_tol"
-            )
-        p.add_argument("-o", "--output", default=None)
+    def modes(name, help, dest):
+        return sub.add_parser(name, help=help, allow_abbrev=False).add_subparsers(
+            dest=dest, required=True
+        )
 
-    p_spec = sub.add_parser("spectrum", help="structure report and Q-spectrum")
+    def leaf(group, name, parents=(), help=None, **defaults):
+        p = group.add_parser(name, parents=[output, *parents], help=help, allow_abbrev=False)
+        p.set_defaults(**defaults)
+        return p
+
+    p_spec = leaf(sub, "spectrum", help="structure report and Q-spectrum", func=cmd_spectrum)
     p_spec.add_argument("input", help="graph6 string or edge-list file path")
-    common(p_spec, group_tol=True)
-    p_spec.set_defaults(func=cmd_spectrum)
 
-    p_fam = sub.add_parser("family", help="construct a named family member")
-    p_fam.add_argument("kind", choices=["U", "K"])
-    p_fam.add_argument("--n", type=int)
-    p_fam.add_argument("--k", type=int)
-    p_fam.add_argument("--g", type=int)
-    p_fam.add_argument("--l", type=int, default=None)
-    p_fam.add_argument("--lengths", default=None, help="pendant path lengths, e.g. 2,2,3")
-    p_fam.add_argument("--profile", default=None, help="pendant profile, e.g. 2,2,1,1")
-    common(p_fam, group_tol=True)
-    p_fam.set_defaults(func=cmd_family)
+    family = modes("family", "construct a named family member", "kind")
+    p_u = leaf(family, "U", func=cmd_family)
+    for flag in ("--n", "--k", "--g"):
+        p_u.add_argument(flag, type=int, required=True)
+    p_u.add_argument("--lengths", help="pendant path lengths, e.g. 2,2,3 (default: 2 each)")
+    p_u.add_argument("--l", type=int, help="stem length (default: what the lengths leave)")
+    p_k = leaf(family, "K", func=cmd_family)
+    p_k.add_argument("--profile", required=True, help="pendant profile, e.g. 2,2,1,1")
 
-    p_ver = sub.add_parser("verify", help="exhaustive extremal verification")
-    p_ver.add_argument("theorem", choices=["min", "unicyclic-min", "max"])
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--k", type=int, required=True)
-    p_ver.add_argument("--g", type=int, default=None)
-    p_ver.add_argument("--tie-tol", type=float, default=DEFAULT_TIE_TOL, dest="tie_tol")
-    p_ver.add_argument("--shards", type=int, default=1)
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    verify = modes("verify", "exhaustive extremal verification", "theorem")
+    for theorem in ("min", "unicyclic-min", "max"):
+        p_ver = leaf(verify, theorem, parents=[tie], func=cmd_verify)
+        p_ver.add_argument("--n", type=int, required=True)
+        p_ver.add_argument("--k", type=int, required=True)
+        if theorem == "unicyclic-min":
+            p_ver.add_argument("--g", type=int, required=True)
 
-    p_scan = sub.add_parser("scan", help="CSV sweeps")
-    p_scan.add_argument("what", choices=["alpha", "bounds", "majorization"])
-    p_scan.add_argument("--n", default=None, help="orders, e.g. 4..50")
-    p_scan.add_argument("--k", default=None, help="pendant counts, e.g. 1..4")
-    p_scan.add_argument("--g", default=None, help="girths, e.g. 3,5,7")
-    p_scan.add_argument("--len", type=int, default=None, help="profile length")
-    p_scan.add_argument("--sum", type=int, default=None, help="profile sum")
-    common(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
+    scan = modes("scan", "CSV sweeps", "what")
+    p_alpha = leaf(scan, "alpha", func=cmd_scan, table=_alpha_table)
+    p_alpha.add_argument("--n", required=True, help="orders, e.g. 15")
+    p_alpha.add_argument("--k", required=True, help="pendant counts, e.g. 1..4")
+    p_alpha.add_argument("--g", required=True, help="girths, e.g. 3,5,7")
+    p_bounds = leaf(scan, "bounds", func=cmd_scan, table=_bounds_table)
+    p_bounds.add_argument("--n", required=True, help="orders, e.g. 4..50")
+    p_maj = leaf(scan, "majorization", func=cmd_scan, table=_majorization_table)
+    p_maj.add_argument("--len", type=int, required=True, help="profile length")
+    p_maj.add_argument("--sum", type=int, required=True, help="profile sum")
     return parser
 
 

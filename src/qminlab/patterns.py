@@ -251,8 +251,10 @@ def check_U_pattern(g: Graph, lm: ULandmarks, x) -> PatternReport:
 
 
 def alpha(n: int, k: int, g: int) -> float:
-    """Least eigenvalue of the standard cycle-stem-broom graph, which is the
-    class minimum over unicyclic graphs with these parameters."""
+    """Least eigenvalue of the standard cycle-stem-broom graph.  The paper
+    claims it is the class minimum over unicyclic graphs with these
+    parameters; criterion 4 of ``tests/test_acceptance.py`` checks that by
+    exhaustive search through n = 16; this function only assumes it."""
     graph, _ = build_U_std(n, k, g)
     return q_min_of(graph)[0]
 

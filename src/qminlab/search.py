@@ -23,7 +23,7 @@ labeled candidates:
 Unicyclic classes are searched through order 16, the most a uint16 row
 holds, and general ones through order 8; larger orders are refused.  General
 order 9 needs the cores of order 8, which the vertex-adding build takes about
-40 s to make (a general class of order 8 with no pendant needs them too).
+24 s cold to make (a general class of order 8 with no pendant needs them too).
 
 Scan.  A class is scanned in one pass over its representatives, held in
 memory in their fixed generation order: the least eigenvalues are solved in

@@ -21,7 +21,6 @@ a fresh writable copy.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .graphs import Graph
 
-DEFAULT_GROUP_TOL = 1e-8
+_GROUP_TOL = 1e-8  # relative; eigenvalues this close to the least share its multiplicity
 _LEAD_TIE_TOL = 1e-8  # relative; magnitudes this close tie for the sign lead
 
 
@@ -82,22 +81,17 @@ def qmin_stack(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[:, 0]
 
 
-def q_min_of(
-    g: Graph,
-    *,
-    group_tol: float | None = None,
-) -> tuple[float, np.ndarray, int]:
+def q_min_of(g: Graph) -> tuple[float, np.ndarray, int]:
     """Least Q-eigenvalue of ``g`` with a canonical eigenvector.
 
     Returns (value, vector, multiplicity).  Multiplicity counts eigenvalues
-    within ``group_tol`` (default 1e-8 * (1 + |value|); finite and positive
-    if given) of the least one.
+    within 1e-8 * (1 + |value|) of the least one.
     The vector is unit length and sign-normalized: its largest-magnitude
     entry is positive, ties (magnitudes within 1e-8 * max|x| of the largest)
     broken by lowest vertex index.
     """
     _, values, vectors = _solved(g)
-    return _least_pair(values, vectors, group_tol)
+    return _least_pair(values, vectors)
 
 
 @functools.lru_cache(maxsize=8)
@@ -111,16 +105,12 @@ def _solved(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, values, vectors
 
 
-def _least_pair(values, vectors, group_tol=None):
+def _least_pair(values, vectors):
     """``q_min_of``'s (value, vector, multiplicity) from ascending eigenvalues
     and their eigenvector columns; with ``vectors`` None the vector is None."""
     values = values.tolist()
     value = values[0]
-    if group_tol is None:
-        group_tol = DEFAULT_GROUP_TOL * (1.0 + abs(value))
-    elif not 0 < group_tol < math.inf:
-        raise InvalidParameterError(f"group_tol must be finite and positive, got {group_tol}")
-    bound = float(value + group_tol)  # float64 even for a float32 group_tol
+    bound = value + _GROUP_TOL * (1.0 + abs(value))
     multiplicity = sum(v <= bound for v in values)
     if vectors is None:
         return value, None, multiplicity

@@ -13,7 +13,6 @@ OPTIONAL_PARAMETERS = {
     "ClassQuery": ["unicyclic_girth"],
     "ParseError": ["offset"],
     "find_extremal": ["tie_tol", "shards"],
-    "q_min_of": ["group_tol"],
 }
 
 

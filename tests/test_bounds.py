@@ -82,6 +82,8 @@ def test_bound_lima_below_delta():
     for n in range(2, 40):
         for delta in range(1, n):
             assert bound_lima(n, delta) < delta
+    # the textbook form of the root cancels to exactly 1.0 here
+    assert bound_lima(10**9, 1) == 0.999999999
 
 
 def test_bound_pendant_decreasing_in_k():
@@ -94,6 +96,7 @@ def test_bound_pendant_decreasing_in_k():
 def test_submatrix_k1_equals_lima_delta1():
     for n in range(4, 51):
         assert abs(bound_submatrix(n, 1) - bound_lima(n, 1)) < 1e-12
+    assert bound_submatrix(10**9, 1) == bound_lima(10**9, 1) == 0.999999999
 
 
 def test_compare_bounds_direction():

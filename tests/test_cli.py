@@ -64,6 +64,10 @@ def test_family_u_infeasible(capsys):
     code, _, err = run(capsys, "family", "U", "--n", "5", "--k", "1", "--g", "4")
     assert code == 2
     assert "error" in err
+    # a stem length that does not fit is refused, not replaced by the one that does
+    code, out, err = run(capsys, "family", "U", "--n", "6", "--k", "1", "--g", "3", "--l", "7")
+    assert code == 2 and out == ""
+    assert "g + l + sum(lengths) = 12 != n + k + 1 = 8" in err
 
 
 def test_family_u_explicit_lengths(capsys):
@@ -91,12 +95,6 @@ def test_verify_unicyclic_min(capsys):
 
 def test_verify_max(capsys):
     code, out, _ = run(capsys, "verify", "max", "--n", "6", "--k", "3")
-    assert code == 0
-    assert "confirmed: true" in out
-
-
-def test_verify_with_shards(capsys):
-    code, out, _ = run(capsys, "verify", "min", "--n", "5", "--k", "2", "--shards", "4")
     assert code == 0
     assert "confirmed: true" in out
 
@@ -174,6 +172,10 @@ def test_scan_bounds_csv(capsys):
     assert len(rows) == 10
     assert all(float(r[4]) > 0 for r in rows[1:])
     assert "smaller" in err  # direction note
+    # the bounds do not cancel to 1.0 at large n
+    code, out, _ = run(capsys, "scan", "bounds", "--n", "1000000000")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out)))[1][2:4] == ["0.999999999000"] * 2
 
 
 def test_scan_majorization_csv(capsys):
@@ -202,15 +204,19 @@ def test_output_to_file(capsys, tmp_path):
 
 
 def test_bad_tolerances(capsys):
-    code, _, err = run(capsys, "spectrum", "Bw", "--group-tol", "-1")
-    assert code == 2
+    code, out, err = run(capsys, "verify", "min", "--n", "5", "--k", "1", "--tie-tol", "-1")
+    assert code == 2 and out == ""
     assert "positive" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "min", "--n", "5", "--k", "1", "--tie-tol"), ("spectrum", "Bw", "--group-tol")],
+    [
+        ("verify", "min", "--n", "5", "--k", "1", "--tie-tol"),
+        ("verify", "unicyclic-min", "--n", "5", "--k", "1", "--g", "3", "--tie-tol"),
+        ("verify", "max", "--n", "5", "--k", "1", "--tie-tol"),
+    ],
 )
 def test_non_finite_tolerances(capsys, argv, value):
     code, out, err = run(capsys, *argv, value)
@@ -247,17 +253,57 @@ def test_refused_scan_writes_nothing(capsys, tmp_path):
     assert not target.exists()
 
 
+# A value for every flag some mode reads, and for --group-tol and --shards,
+# which no mode takes.
+FLAG_VALUES = {
+    "--n": "6", "--k": "1", "--g": "3", "--l": "2", "--lengths": "2",
+    "--profile": "2,1,1", "--len": "4", "--sum": "6", "--tie-tol": "1e-8",
+    "--group-tol": "1e-8", "--shards": "2",
+}
+
+# Each mode: a valid command line, the optional flags it reads besides -o,
+# and the flags it requires, which that command line gives.
+MODES = [
+    (("spectrum", "Bw"), set(), []),
+    (
+        ("family", "U", "--n", "6", "--k", "1", "--g", "3"),
+        {"--l", "--lengths"},
+        ["--n", "--k", "--g"],
+    ),
+    (("family", "K", "--profile", "2,1,1"), set(), ["--profile"]),
+    (("verify", "min", "--n", "5", "--k", "1"), {"--tie-tol"}, ["--n", "--k"]),
+    (
+        ("verify", "unicyclic-min", "--n", "5", "--k", "1", "--g", "3"),
+        {"--tie-tol"},
+        ["--n", "--k", "--g"],
+    ),
+    (("verify", "max", "--n", "5", "--k", "1"), {"--tie-tol"}, ["--n", "--k"]),
+    (("scan", "alpha", "--n", "6", "--k", "1", "--g", "3"), set(), ["--n", "--k", "--g"]),
+    (("scan", "bounds", "--n", "4"), set(), ["--n"]),
+    (("scan", "majorization", "--len", "4", "--sum", "6"), set(), ["--len", "--sum"]),
+]
+
+
 def test_flags_only_on_commands_that_read_them(capsys):
-    assert run(capsys, "scan", "bounds", "--n", "4", "--tie-tol", "1")[0] == 2
-    assert run(capsys, "verify", "min", "--n", "5", "--k", "1", "--group-tol", "1")[0] == 2
-    assert run(capsys, "spectrum", "Bw", "--shards", "2")[0] == 2
+    for argv, optional, required in MODES:
+        assert run(capsys, *argv)[0] == 0, argv
+        for flag in sorted(FLAG_VALUES.keys() - optional - set(required)):
+            # an unread flag is passed up and refused by the top-level parser
+            code, out, err = run(capsys, *argv, flag, FLAG_VALUES[flag])
+            assert (code, out) == (2, ""), (argv, flag)
+            assert f"qminlab: error: unrecognized arguments: {flag}" in err, (argv, flag)
+        for flag in required:
+            at = argv.index(flag)
+            code, out, err = run(capsys, *argv[:at], *argv[at + 2 :])
+            assert (code, out) == (2, ""), (argv, flag)
+            assert f"the following arguments are required: {flag}" in err, (argv, flag)
 
 
 @pytest.mark.parametrize("theorem", ["min", "max"])
 def test_verify_girth_only_for_unicyclic_min(capsys, theorem):
     code, out, err = run(capsys, "verify", theorem, "--n", "7", "--k", "2", "--g", "4")
     assert code == 2 and out == ""
-    assert "--g applies only to unicyclic-min" in err
+    assert "unrecognized arguments: --g 4" in err
 
 
 def test_module_entry_point():

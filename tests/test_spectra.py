@@ -105,15 +105,6 @@ def test_eig_rejects_bad_input():
         eig_sym(np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
-def test_group_tol_must_be_finite_and_positive(tol):
-    with pytest.raises(InvalidParameterError):
-        q_min_of(cycle_graph(3), group_tol=tol)
-    spec = eig_sym(q_matrix(cycle_graph(3)))
-    with pytest.raises(InvalidParameterError):
-        _least_pair(spec.eigenvalues, None, tol)
-
-
 def test_eig_deterministic():
     q = q_matrix(build_U_std(9, 2, 5)[0])
     a = eig_sym(q)
