@@ -87,6 +87,9 @@ class BoundRow:
 
     @property
     def smaller(self) -> str:
+        """The smaller bound, or "tie" where the floats are equal (n >= ~10**17)."""
+        if self.lima_delta1 == self.cor_pendant_general:
+            return "tie"
         return "lima" if self.lima_delta1 < self.cor_pendant_general else "pendant"
 
 

@@ -21,6 +21,7 @@ of a supplied eigenvector.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -83,8 +84,8 @@ def _normalized_eigenvector(g: Graph, x, q: np.ndarray) -> np.ndarray:
     if x.shape != (g.n,):
         raise InvalidParameterError(f"vector shape {x.shape} != ({g.n},)")
     norm = math.sqrt(x.dot(x))  # np.linalg.norm's own formula
-    if norm == 0:
-        raise InvalidParameterError("zero vector is not an eigenvector")
+    if not 0 < norm < math.inf:  # zero, a NaN or infinite entry, or an overflow
+        raise InvalidParameterError(f"an eigenvector needs a finite nonzero norm, got {norm}")
     x = x / norm
     qx = q @ x
     if float(np.abs(x.dot(qx) * x - qx).max()) > EIGENVECTOR_CHECK_TOL:
@@ -169,31 +170,35 @@ def check_tree_monotone(g: Graph, x, b: BranchSpec) -> PatternReport:
 
 
 def _validate_std_family(g: Graph, lm: ULandmarks) -> None:
-    """Reject graphs that are not a standard cycle-stem-broom instance."""
-    cyc = lm.cycle
+    """Reject graphs that are not a standard cycle-stem-broom instance: the
+    cycle, the stem after its first vertex and the ends of one or more pendant
+    edges name each vertex once, and the graph's edges are the n they name."""
+    try:
+        cyc = tuple(map(operator.index, lm.cycle))
+        stem = tuple(map(operator.index, lm.stem))
+        anchor = operator.index(lm.anchor)
+        paths = tuple(lm.pendant_paths)
+        ends = tuple([operator.index(p[1]) for p in paths if len(p) == 2 and p[0] == anchor])
+    except (AttributeError, TypeError):
+        raise InvalidParameterError("landmarks must be sequences of vertex indices") from None
     if len(cyc) < 3 or len(cyc) % 2 == 0:
         raise InvalidParameterError("cycle landmark must have odd length >= 3")
-    for a, b in zip(cyc, cyc[1:]):
-        if not g.has_edge(a, b):
-            raise InvalidParameterError(f"missing cycle edge ({a},{b})")
-    if not g.has_edge(cyc[-1], cyc[0]):
-        raise InvalidParameterError("cycle landmark does not close")
-    if lm.stem[0] != cyc[-1] or lm.anchor != lm.stem[-1]:
+    if not stem or stem[0] != cyc[-1] or anchor != stem[-1]:
         raise InvalidParameterError("stem landmark must run from the cycle to the anchor")
-    for a, b in zip(lm.stem, lm.stem[1:]):
-        if not g.has_edge(a, b):
-            raise InvalidParameterError(f"missing stem edge ({a},{b})")
-    for path in lm.pendant_paths:
-        if len(path) != 2 or path[0] != lm.anchor:
-            raise InvalidParameterError("pendant paths must be single edges at the anchor")
-        if not g.has_edge(path[0], path[1]):
-            raise InvalidParameterError(f"missing pendant edge {path}")
-        if g.degree(path[1]) != 1:
-            raise InvalidParameterError(f"vertex {path[1]} is not a pendant vertex")
-    # unicyclic: the landmark count doubles as the edge count
-    named = len(cyc) + (len(lm.stem) - 1) + len(lm.pendant_paths)
-    if named != g.n or named != g.edge_count:
-        raise InvalidParameterError("landmarks do not cover the graph exactly")
+    if not ends or len(ends) != len(paths):
+        raise InvalidParameterError("need one or more pendant paths, each one edge at the anchor")
+    if sorted(cyc + stem[1:] + ends) != list(range(g.n)):
+        raise InvalidParameterError("landmarks must name each vertex exactly once")
+    nbr = g.nbr
+    walk = cyc[-1:] + cyc + stem[1:]  # around the cycle, then down the stem
+    for a, b in zip(walk, walk[1:]):
+        if not nbr[a] >> b & 1:
+            raise InvalidParameterError(f"missing landmark edge ({a},{b})")
+    for b in ends:
+        if not nbr[anchor] >> b & 1:
+            raise InvalidParameterError(f"missing landmark edge ({anchor},{b})")
+    if g.edge_count != g.n:
+        raise InvalidParameterError("graph has edges the landmarks do not name")
 
 
 def check_U_pattern(g: Graph, lm: ULandmarks, x) -> PatternReport:

@@ -138,19 +138,6 @@ def _connected_classes(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 @functools.cache
-def _cores(m: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The connected non-bipartite graphs of order m, one per isomorphism
-    class, in increasing order of the class's lowest mask: (that mask, its
-    automorphisms as rows of ``_permutations(m)``)."""
-    masks, auts = _connected_classes(m)
-    return tuple(
-        (lowest, aut)
-        for lowest, aut, graph in zip(masks.tolist(), auts, _witness_graphs(m, masks))
-        if two_coloring(graph) is None
-    )
-
-
-@functools.cache
 def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """One graph per isomorphism class of the connected non-bipartite graphs
     of order n with exactly k >= 0 pendant vertices: (neighbour rows, the
@@ -163,8 +150,9 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     every leaf of H, so that no core vertex becomes a pendant.  Every such
     pair is a class member, and two are isomorphic exactly when their cores
     are and an automorphism of H carries one placement to the other.  So
-    each core of ``_cores(m)`` takes the placements that are the
-    lexicographic maximum of their images under its automorphisms, in
+    each class of ``_connected_classes(m)`` is built once as a graph, a
+    bipartite one is skipped, and each core takes the placements that are
+    the lexicographic maximum of their images under its automorphisms, in
     ``combinations_with_replacement`` order, and a class has
     n! / (|Stab(placement)| * prod of m_v!) labelings.  The core keeps
     labels 0..m-1; pendant m + t hangs from the t-th vertex of the
@@ -172,9 +160,7 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     cores without a leaf, each standing for n!/|Aut| labelings.
     """
     m = n - k
-    spots = np.array(
-        list(itertools.combinations_with_replacement(range(m), k)), dtype=np.int64
-    )
+    spots = np.array(list(itertools.combinations_with_replacement(range(m), k)), dtype=np.int64)
     placements = (spots[:, :, None] == np.arange(m)).sum(axis=1)
     # the pendants' rows, and their bits in the rows of the core vertices
     pendant_rows = np.zeros((len(spots), n), dtype=np.uint16)
@@ -187,8 +173,10 @@ def _representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     relabelings = math.factorial(n) // fact[placements].prod(axis=1)
     rows = [np.zeros((0, n), dtype=np.uint16)]
     counts = [np.zeros(0, dtype=np.int64)]
-    cores = _cores(m)
-    for (_, auts), core in zip(cores, _witness_graphs(m, [lowest for lowest, _ in cores])):
+    masks, auts_of = _connected_classes(m)
+    for auts, core in zip(auts_of, _witness_graphs(m, masks)):
+        if two_coloring(core) is not None:
+            continue
         leaves = np.array(core.degrees()) == 1
         images = placements[:, auts] @ weight
         keep = placements[:, leaves].all(axis=1) & (images.max(axis=1) == code)
@@ -375,20 +363,15 @@ def _permutations(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2)
 def _edge_images(n: int) -> np.ndarray:
-    """An (M, n!) table: row b holds the mask bit of edge b's image under
-    each relabelling in ``_permutations(n)`` (9 MB at n = 8).  An orbit is
-    then one gather and one OR-reduction: a cold ``_cores(7)`` took 1.0-1.4 s
-    OR-ing in the edge images one at a time and takes about 0.26 s so."""
-    edges = _edge_list(n)
-    m_edges = len(edges)
+    """An (M, n!) table, one gather from the edges' bits: row b holds the
+    mask bit of edge b's image under each relabelling in ``_permutations(n)``
+    (9 MB at n = 8).  An orbit is then one gather and one OR-reduction; a cold
+    ``_connected_classes(7)`` takes about 0.2 s so, 1.0-1.4 s image by image."""
+    i, j = np.array(_edge_list(n), dtype=np.int64).reshape(-1, 2).T
     bit = np.zeros((n, n), dtype=np.int64)
-    for b, (i, j) in enumerate(edges):
-        bit[i, j] = bit[j, i] = 1 << (m_edges - 1 - b)
+    bit[i, j] = bit[j, i] = 1 << np.arange(i.size - 1, -1, -1, dtype=np.int64)
     perms = _permutations(n)
-    images = np.zeros((m_edges, perms.shape[0]), dtype=np.int64)
-    for b, (i, j) in enumerate(edges):
-        images[b] = bit[perms[:, i], perms[:, j]]
-    return images
+    return bit[perms[:, i].T, perms[:, j].T]
 
 
 def _orbit(n: int, mask: int) -> np.ndarray:
@@ -441,6 +424,8 @@ def find_extremal(
     pairwise non-isomorphic representatives, so the witnesses are the tied
     representatives themselves, in generation order and labelling.
     """
+    if not isinstance(q, ClassQuery):
+        raise InvalidParameterError(f"query must be a ClassQuery, got {q!r}")
     if objective not in ("min", "max"):
         raise InvalidParameterError(f"objective must be 'min' or 'max', got {objective!r}")
     if isinstance(tie_tol, bool) or not isinstance(tie_tol, numbers.Real):

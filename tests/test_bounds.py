@@ -84,6 +84,9 @@ def test_bound_lima_below_delta():
             assert bound_lima(n, delta) < delta
     # the textbook form of the root cancels to exactly 1.0 here
     assert bound_lima(10**9, 1) == 0.999999999
+    # the gap, about 1/n, still shows at 10**16 and rounds away at 10**17
+    assert bound_lima(10**16, 1) == 0.9999999999999999
+    assert bound_lima(10**17, 1) == 1.0
 
 
 def test_bound_pendant_decreasing_in_k():
@@ -107,5 +110,10 @@ def test_compare_bounds_direction():
         assert row.diff > 0
         assert row.smaller == "lima"
         assert abs(row.submatrix_k1 - row.lima_delta1) < 1e-12
+    # the bounds are about 1 - 1/n and 1 - 1/n^2: the pendant one rounds to
+    # 1.0 first, and from 10**17 on both do
+    far, farther = compare_bounds([10**16, 10**17])
+    assert far.cor_pendant_general == 1.0 and far.diff > 0 and far.smaller == "lima"
+    assert farther.lima_delta1 == 1.0 and farther.diff == 0 and farther.smaller == "tie"
     with pytest.raises(InvalidParameterError):
         compare_bounds([3])

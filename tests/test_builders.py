@@ -42,7 +42,6 @@ from qminlab.patterns import (
     MajorizationScan,
     PatternReport,
     _profiles,
-    _validate_std_family,
 )
 from qminlab.spectra import _least_pair
 
@@ -215,10 +214,36 @@ def _ref_least_pair(values, vectors):
     return value, vector, multiplicity
 
 
+def _ref_validate_std_family(g, lm):
+    cyc = lm.cycle
+    if len(cyc) < 3 or len(cyc) % 2 == 0:
+        raise InvalidParameterError("cycle landmark must have odd length >= 3")
+    for a, b in zip(cyc, cyc[1:]):
+        if not g.has_edge(a, b):
+            raise InvalidParameterError(f"missing cycle edge ({a},{b})")
+    if not g.has_edge(cyc[-1], cyc[0]):
+        raise InvalidParameterError("cycle landmark does not close")
+    if lm.stem[0] != cyc[-1] or lm.anchor != lm.stem[-1]:
+        raise InvalidParameterError("stem landmark must run from the cycle to the anchor")
+    for a, b in zip(lm.stem, lm.stem[1:]):
+        if not g.has_edge(a, b):
+            raise InvalidParameterError(f"missing stem edge ({a},{b})")
+    for path in lm.pendant_paths:
+        if len(path) != 2 or path[0] != lm.anchor:
+            raise InvalidParameterError("pendant paths must be single edges at the anchor")
+        if not g.has_edge(path[0], path[1]):
+            raise InvalidParameterError(f"missing pendant edge {path}")
+        if g.degree(path[1]) != 1:
+            raise InvalidParameterError(f"vertex {path[1]} is not a pendant vertex")
+    named = len(cyc) + (len(lm.stem) - 1) + len(lm.pendant_paths)
+    if named != g.n or named != g.edge_count:
+        raise InvalidParameterError("landmarks do not cover the graph exactly")
+
+
 def _ref_check_U_pattern(g, lm, x, tol=PATTERN_TOL):
     if not math.isfinite(tol):
         raise InvalidParameterError(f"tol must be finite, got {tol}")
-    _validate_std_family(g, lm)
+    _ref_validate_std_family(g, lm)
     q = q_matrix(g)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):

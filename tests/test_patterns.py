@@ -1,5 +1,6 @@
 """First-eigenvector structure checks."""
 
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ from qminlab import (
     Graph,
     InvalidParameterError,
     PendantProfile,
+    ULandmarks,
     UParams,
     attach_pendants,
     build_K,
@@ -316,6 +318,65 @@ def test_u_pattern_rejects_non_eigenvector():
     g, lm = build_U_std(7, 1, 3)
     with pytest.raises(InvalidParameterError):
         check_U_pattern(g, lm, np.ones(7))
+
+
+def test_u_pattern_refuses_landmarks_that_miss_a_vertex():
+    # every named edge is present and 8 edges are named for 8 vertices, but
+    # the stem names vertex 4 twice and vertex 6 not at all: the graph is C5
+    # with a path of length 2 and a pendant at 4, outside the family
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (4, 7)])
+    lm = ULandmarks((0, 1, 2, 3, 4), (4, 5, 4), 4, ((4, 7),))
+    _, x, _ = q_min_of(g)
+    with pytest.raises(InvalidParameterError, match="each vertex exactly once"):
+        check_U_pattern(g, lm, x)
+
+
+def test_u_pattern_refuses_a_graph_without_pendants():
+    # C5 with a path of length 2: landmarks with no pendant path describe it,
+    # but the family has k >= 1 and build_U_std(7, 0, 5) is refused
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
+    lm = ULandmarks((0, 1, 2, 3, 4), (4, 5, 6), 6, ())
+    _, x, _ = q_min_of(g)
+    with pytest.raises(InvalidParameterError, match="one or more pendant paths"):
+        check_U_pattern(g, lm, x)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"stem": ()},
+        {"cycle": None},
+        {"cycle": (0, 1, 2.0)},
+        {"anchor": "5"},
+        {"pendant_paths": None},
+        {"pendant_paths": (None,)},
+        {"stem": (2, 3, 4, 5, 7), "anchor": 7},
+    ],
+    ids=["empty-stem", "no-cycle", "float-vertex", "str-anchor", "no-paths", "no-path", "vertex-7"],
+)
+def test_u_pattern_refuses_malformed_landmarks(change):
+    g, lm = build_U_std(7, 1, 3)  # cycle (0, 1, 2), stem (2, 3, 4, 5), pendant (5, 6)
+    _, x, _ = q_min_of(g)
+    with pytest.raises(InvalidParameterError):
+        check_U_pattern(g, dataclasses.replace(lm, **change), x)
+
+
+@pytest.mark.parametrize("check", ["U", "bipartite", "tree"])
+@pytest.mark.parametrize(
+    "vector",
+    [np.full(7, np.nan), np.r_[np.nan, np.ones(6)], np.full(7, np.inf)],
+    ids=["all-nan", "one-nan", "all-inf"],
+)
+def test_eigenvector_checks_refuse_non_finite_vectors(check, vector):
+    g, lm = build_U_std(7, 1, 3)
+    tree = split_branches(g, lm.cycle[-1])[1]
+    run = {
+        "U": lambda: check_U_pattern(g, lm, vector),
+        "bipartite": lambda: check_bipartite_branch(g, vector, tree),
+        "tree": lambda: check_tree_monotone(g, vector, tree),
+    }[check]
+    with pytest.raises(InvalidParameterError, match="finite"):
+        run()
 
 
 def test_u_pattern_refuses_a_multiple_least_eigenvalue(monkeypatch):

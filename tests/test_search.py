@@ -337,15 +337,27 @@ def test_capacity_caps():
 # -- cores plus pendant placements ------------------------------------------------
 
 
+def _cores(m):
+    """The non-bipartite classes of ``search._connected_classes(m)``, which
+    ``_representatives`` takes as cores: (lowest mask, automorphisms) pairs."""
+    masks, auts = search._connected_classes(m)
+    graphs = search._witness_graphs(m, masks)
+    return [
+        (mask, aut)
+        for mask, aut, graph in zip(masks.tolist(), auts, graphs)
+        if two_coloring(graph) is None
+    ]
+
+
 def test_core_class_counts():
     # connected graphs (OEIS A001349) minus connected bipartite ones (A005142)
     connected = [1, 1, 2, 6, 21, 112, 853]
     assert [search._connected_classes(m)[0].size for m in range(1, 8)] == connected
     bipartite = [1, 3, 5, 17, 44]
-    counts = [len(search._cores(m)) for m in range(3, 8)]
+    counts = [len(_cores(m)) for m in range(3, 8)]
     assert counts == [c - b for c, b in zip(connected[2:], bipartite)] == [1, 3, 16, 95, 809]
     for m in range(3, 7):
-        for core, auts in search._cores(m):
+        for core, auts in _cores(m):
             orbit = search._orbit(m, core)
             assert core == orbit.min()
             assert len(auts) * len(set(orbit.tolist())) == math.factorial(m)
@@ -354,10 +366,43 @@ def test_core_class_counts():
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_cores_match_labeled_scan(m):
     # the vertex-adding build against the labeled scan of every mask
-    got, want = search._cores(m), labeled._cores(m)
+    got, want = _cores(m), labeled._cores(m)
     assert [core for core, _ in got] == [core for core, _ in want]
     for (_, got_auts), (_, want_auts) in zip(got, want):
         assert np.array_equal(got_auts, want_auts)
+
+
+def test_edge_images_match_the_per_edge_loop():
+    # the one-gather table against filling it one edge at a time
+    for m in range(1, 9):
+        edges = search._edge_list(m)
+        bit = np.zeros((m, m), dtype=np.int64)
+        for b, (i, j) in enumerate(edges):
+            bit[i, j] = bit[j, i] = 1 << (len(edges) - 1 - b)
+        perms = search._permutations(m)
+        want = np.zeros((len(edges), len(perms)), dtype=np.int64)
+        for b, (i, j) in enumerate(edges):
+            want[b] = bit[perms[:, i], perms[:, j]]
+        got = search._edge_images(m)
+        assert got.dtype == want.dtype and got.flags["C_CONTIGUOUS"], m
+        assert np.array_equal(got, want), m
+
+
+def test_representatives_build_each_connected_class_once(monkeypatch):
+    # order 5 has 21 connected classes, 16 of them cores: each is built as a
+    # graph once, to be filtered and to take its placements
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    search._connected_classes.cache_clear()
+    search._representatives.cache_clear()
+    monkeypatch.setattr(Graph, "__init__", counting)
+    search._representatives(7, 2)
+    assert len(built) == search._connected_classes(5)[0].size == 21
 
 
 def _canonical(n, graphs):
@@ -726,6 +771,9 @@ def test_empty_class():
 def test_objective_validation():
     with pytest.raises(InvalidParameterError):
         find_extremal(ClassQuery(n=5, k=1), "best")
+    for query in ("x", None, (5, 1)):
+        with pytest.raises(InvalidParameterError, match="must be a ClassQuery"):
+            find_extremal(query, "min")
     with pytest.raises(InvalidParameterError):
         find_extremal(ClassQuery(n=5, k=1), "min", shards=0)
 
@@ -786,7 +834,7 @@ def test_searches_leave_no_reference_cycles():
     # a recursive closure refers to itself through its cell; unless the
     # cycle is broken, each call leaves its captured state to the collector
     for cache in (
-        search._connected_classes, search._cores, search._representatives,
+        search._connected_classes, search._representatives,
         search._rooted_trees, search._unicyclic_classes, search._run_scan,
     ):
         cache.cache_clear()
